@@ -1,18 +1,34 @@
-//! Branch-and-bound exact Kemeny aggregation.
+//! Exact aggregation by branch and bound: one prefix search shared by
+//! the sum (Kemeny) and max (minmax) objectives.
 //!
 //! [`crate::exact::kemeny_optimal_full`] (Held–Karp) is exact but pays
-//! `O(2ⁿ)` memory, capping out around `n = 18`. This module searches the
-//! space of prefixes depth-first with the pairwise lower bound of
-//! [`crate::exact::kprof_lower_bound_x2`] (restricted to full-ranking
-//! outputs) for pruning, warm-started by KwikSort + local Kemenization.
-//! On cohesive profiles (the realistic regime) it solves `n = 25+`
-//! instances in milliseconds; on adversarial profiles it degrades toward
+//! `O(2ⁿ)` memory, capping out around `n = 18`. This module instead
+//! grows full rankings prefix by prefix, depth-first. The objective is
+//! a stack of pair-cost *layers*, `c_l(a, b)` = layer `l`'s cost of
+//! ranking `a` strictly ahead of `b`, and the search minimizes the
+//! maximum over layers of `Σ_{a ahead of b} c_l(a, b)`:
+//!
+//! * Kemeny ([`kemeny_optimal_bb`]) is one layer, the profile's ×2
+//!   weights ([`ProfileTally::pair_cost_x2`]);
+//! * minmax ([`crate::minmax::minmax_optimal_bb`]) is one layer per
+//!   voter ([`MinMaxObjective::pair_cost_x2`](crate::MinMaxObjective::pair_cost_x2)).
+//!
+//! Each layer's lower bound is its cost on the fixed prefix plus
+//! `Σ min(c_l(a, b), c_l(b, a))` over the pairs still unordered (for
+//! one voter that minimum is 1 on a tied pair and 0 on a strict one).
+//! A node dies when the max over layers of its bound reaches the
+//! incumbent, and an optional [`ClassConstraints`] pruner drops
+//! prefixes no feasible ranking extends. Both entry points warm-start
+//! the incumbent with their objective's heuristic. On cohesive
+//! profiles (the realistic regime) Kemeny solves `n = 25+` instances
+//! in milliseconds; on adversarial profiles it degrades toward
 //! exponential like any exact Kemeny solver (the problem is NP-hard).
 
-use crate::cost::{total_cost_x2, AggMetric};
 use crate::error::check_inputs;
 use crate::kwiksort::kwiksort_best_of;
-use crate::local::local_kemenize;
+use crate::local::local_kemenize_with_tally;
+use crate::minmax::ClassConstraints;
+use crate::tally::ProfileTally;
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId};
 
@@ -52,141 +68,176 @@ pub fn kemeny_optimal_bb(
             },
         ));
     }
-    // c[a][b] = cost ×2 of ranking a strictly ahead of b.
-    let mut c = vec![0u64; n * n];
-    for s in inputs {
-        for a in 0..n as ElementId {
-            for b in 0..n as ElementId {
-                if a == b {
-                    continue;
-                }
-                let cell = &mut c[a as usize * n + b as usize];
-                if s.prefers(b, a) {
-                    *cell += 2;
-                } else if s.is_tied(a, b) {
-                    *cell += 1;
-                }
-            }
-        }
-    }
-
+    let tally = ProfileTally::build(inputs)?;
     // Warm start: best of KwikSort restarts, locally Kemenized.
-    let warm = local_kemenize(&kwiksort_best_of(inputs, 0xBB, 8)?, inputs)?;
-    let mut best_perm = warm.as_permutation().expect("local_kemenize emits full");
-    let mut best_cost = total_cost_x2(AggMetric::KProf, &warm, inputs)?;
-
-    // Pairwise LB over the full remaining set.
-    let pair_lb = |a: usize, b: usize| c[a * n + b].min(c[b * n + a]);
-    let mut lb_all = 0u64;
-    for a in 0..n {
-        for b in a + 1..n {
-            lb_all += pair_lb(a, b);
-        }
-    }
-
-    let mut stats = BbStats {
-        nodes: 0,
-        pruned: 0,
-    };
-    let mut prefix: Vec<ElementId> = Vec::with_capacity(n);
-    let mut in_prefix = vec![false; n];
-    dfs(
-        &mut prefix,
-        &mut in_prefix,
-        0,
-        lb_all,
-        &c,
+    let warm = local_kemenize_with_tally(&kwiksort_best_of(inputs, 0xBB, 8)?, &tally)?;
+    let warm_cost = tally.kemeny_cost_x2(&warm)?;
+    Ok(branch_and_bound(
         n,
-        &mut best_perm,
-        &mut best_cost,
-        &mut stats,
-    );
-
-    let order = BucketOrder::from_permutation(&best_perm).expect("permutation preserved");
-    Ok((order, best_cost, stats))
+        1,
+        |_, a, b| tally.pair_cost_x2(a, b),
+        None,
+        warm.as_permutation().expect("local_kemenize emits full"),
+        warm_cost,
+    ))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    prefix: &mut Vec<ElementId>,
-    in_prefix: &mut [bool],
-    cost_so_far: u64,
-    lb_remaining: u64,
-    c: &[u64],
+/// The shared search: the full ranking minimizing the max over
+/// `layers` of `Σ_{a ahead of b} pair_cost(l, a, b)`, among those
+/// `constraints` admit. `warm` (of cost `warm_cost`) is the incumbent
+/// to beat, and is returned when nothing beats it.
+pub(crate) fn branch_and_bound(
     n: usize,
-    best_perm: &mut Vec<ElementId>,
-    best_cost: &mut u64,
-    stats: &mut BbStats,
-) {
-    stats.nodes += 1;
-    if prefix.len() == n {
-        if cost_so_far < *best_cost {
-            *best_cost = cost_so_far;
-            *best_perm = prefix.clone();
+    layers: usize,
+    pair_cost: impl Fn(usize, ElementId, ElementId) -> u32,
+    constraints: Option<&ClassConstraints>,
+    warm: Vec<ElementId>,
+    warm_cost: u64,
+) -> (BucketOrder, u64, BbStats) {
+    // Fixing `a` ahead of `b` moves layer l's bound up by the excess
+    // c_l(a, b) − min(c_l(a, b), c_l(b, a)); the root bound is the sum
+    // of the pair minima.
+    let mut excess = vec![0u32; layers * n * n];
+    let mut bounds = vec![0u64; (n * n + 1) * layers];
+    let root = n * n * layers;
+    for l in 0..layers {
+        for a in 0..n {
+            for b in a + 1..n {
+                let ab = pair_cost(l, a as ElementId, b as ElementId);
+                let ba = pair_cost(l, b as ElementId, a as ElementId);
+                let lo = ab.min(ba);
+                excess[(l * n + a) * n + b] = ab - lo;
+                excess[(l * n + b) * n + a] = ba - lo;
+                bounds[root + l] += u64::from(lo);
+            }
         }
-        return;
     }
-    // Candidate next elements, cheapest increment first (good orderings
-    // found early tighten the bound for the rest).
-    let mut candidates: Vec<(u64, ElementId)> = Vec::new();
-    for e in 0..n {
-        if in_prefix[e] {
-            continue;
+    let mut search = Search {
+        n,
+        layers,
+        excess,
+        constraints,
+        free: vec![1; n],
+        placed: vec![0; constraints.map_or(0, ClassConstraints::class_count)],
+        prefix: Vec::with_capacity(n),
+        bounds,
+        cands: vec![(0, 0); n * n],
+        best_perm: warm,
+        best_cost: warm_cost,
+        stats: BbStats {
+            nodes: 0,
+            pruned: 0,
+        },
+    };
+    search.dfs(0, root);
+    let order = BucketOrder::from_permutation(&search.best_perm).expect("permutation preserved");
+    (order, search.best_cost, search.stats)
+}
+
+struct Search<'a> {
+    n: usize,
+    layers: usize,
+    /// Row-major `layers × n × n` bound increments; see
+    /// [`branch_and_bound`].
+    excess: Vec<u32>,
+    constraints: Option<&'a ClassConstraints>,
+    /// 1 for a candidate not yet in the prefix, 0 once placed: a mask
+    /// that keeps the increment sums branchless.
+    free: Vec<u32>,
+    /// Per-class prefix counts (empty when unconstrained).
+    placed: Vec<u32>,
+    prefix: Vec<ElementId>,
+    /// Per-layer bounds, `layers` cells per node. A node at depth `d`
+    /// writes child `e`'s bounds at `(d·n + e)·layers`; the root's sit
+    /// at `n²·layers`. A child reads its bounds where its parent left
+    /// them, so backtracking restores nothing.
+    bounds: Vec<u64>,
+    /// Per-depth candidate lists `(bound, element)`, `n` cells each.
+    cands: Vec<(u64, ElementId)>,
+    best_perm: Vec<ElementId>,
+    best_cost: u64,
+    stats: BbStats,
+}
+
+impl Search<'_> {
+    /// Expands the node whose per-layer bounds start at `at`.
+    fn dfs(&mut self, depth: usize, at: usize) {
+        self.stats.nodes += 1;
+        let (n, layers) = (self.n, self.layers);
+        if depth == n {
+            // Every pair is ordered: the bound is the exact cost.
+            let total = self.bounds[at..at + layers].iter().copied().max().unwrap_or(0);
+            if total < self.best_cost {
+                self.best_cost = total;
+                self.best_perm.clone_from(&self.prefix);
+            }
+            return;
         }
-        // Placing e now fixes pairs (e, u) for unplaced u ≠ e.
-        let mut inc = 0u64;
-        let mut lb_drop = 0u64;
-        for u in 0..n {
-            if u == e || in_prefix[u] {
+        // Score every admissible next element; placing e fixes e ahead
+        // of every other free element.
+        let list = depth * n;
+        let mut count = 0;
+        for e in 0..n {
+            if self.free[e] == 0 {
                 continue;
             }
-            inc += c[e * n + u];
-            lb_drop += c[e * n + u].min(c[u * n + e]);
-        }
-        // Prune: optimistic completion cost.
-        let optimistic = cost_so_far + inc + (lb_remaining - lb_drop);
-        if optimistic >= *best_cost {
-            stats.pruned += 1;
-            continue;
-        }
-        candidates.push((inc, e as ElementId));
-        // Stash lb_drop via recomputation later; cheap enough at O(n).
-    }
-    candidates.sort_unstable();
-    for (inc, e) in candidates {
-        // Recheck the bound (best_cost may have improved).
-        let mut lb_drop = 0u64;
-        for u in 0..n {
-            if u == e as usize || in_prefix[u] {
+            if let Some(cc) = self.constraints {
+                if !cc.admits(&self.placed, e, depth) {
+                    self.stats.pruned += 1;
+                    continue;
+                }
+            }
+            let child = (list + e) * layers;
+            let mut bound = 0u64;
+            for l in 0..layers {
+                let row = &self.excess[(l * n + e) * n..(l * n + e + 1) * n];
+                let inc: u64 = row
+                    .iter()
+                    .zip(&self.free)
+                    .map(|(&x, &f)| u64::from(x * f))
+                    .sum();
+                let b = self.bounds[at + l] + inc;
+                self.bounds[child + l] = b;
+                bound = bound.max(b);
+            }
+            if bound >= self.best_cost {
+                self.stats.pruned += 1;
                 continue;
             }
-            lb_drop += c[e as usize * n + u].min(c[u * n + e as usize]);
+            self.cands[list + count] = (bound, e as ElementId);
+            count += 1;
         }
-        if cost_so_far + inc + (lb_remaining - lb_drop) >= *best_cost {
-            stats.pruned += 1;
-            continue;
+        // Cheapest bound first: good rankings found early tighten the
+        // incumbent for the rest.
+        self.cands[list..list + count].sort_unstable();
+        for i in 0..count {
+            let (bound, e) = self.cands[list + i];
+            // The incumbent may have improved since scoring; the list
+            // is sorted, so every later candidate dies too.
+            if bound >= self.best_cost {
+                self.stats.pruned += (count - i) as u64;
+                break;
+            }
+            let e = e as usize;
+            self.free[e] = 0;
+            self.prefix.push(e as ElementId);
+            if let Some(cc) = self.constraints {
+                self.placed[cc.class_index(e)] += 1;
+            }
+            self.dfs(depth + 1, (list + e) * layers);
+            if let Some(cc) = self.constraints {
+                self.placed[cc.class_index(e)] -= 1;
+            }
+            self.prefix.pop();
+            self.free[e] = 1;
         }
-        prefix.push(e);
-        in_prefix[e as usize] = true;
-        dfs(
-            prefix,
-            in_prefix,
-            cost_so_far + inc,
-            lb_remaining - lb_drop,
-            c,
-            n,
-            best_perm,
-            best_cost,
-            stats,
-        );
-        in_prefix[e as usize] = false;
-        prefix.pop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{total_cost_x2, AggMetric};
     use crate::exact::kemeny_optimal_full;
     use bucketrank_core::BucketOrder;
 

@@ -23,7 +23,9 @@
 //!
 //! For evaluation, the crate also ships exact optima
 //! ([`exact::optimal_partial_ranking`] by enumeration,
-//! [`exact::kemeny_optimal_full`] by Held–Karp,
+//! [`exact::kemeny_optimal_full`] by Held–Karp, [`bb::kemeny_optimal_bb`]
+//! by the branch and bound that also solves the max objective
+//! ([`minmax::minmax_optimal_bb`]),
 //! [`exact::footrule_optimal_full`] by min-cost perfect matching — the
 //! paper's footnote 4) and the classical heuristics the paper positions
 //! itself against ([`borda`], the Markov-chain methods [`markov`], and

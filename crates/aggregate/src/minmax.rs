@@ -8,16 +8,15 @@
 //! "Multiclass MinMax Rank Aggregation" (arXiv 1701.08305):
 //!
 //! * [`MinMaxObjective`] — the per-voter analogue of
-//!   [`ProfileTally`](crate::ProfileTally): per-voter bucket-index maps
-//!   giving O(1) pair costs and O(1)-per-voter adjacent-swap deltas, so
-//!   heuristics score moves without rescanning the profile;
-//! * [`minmax_optimal_bb`] — exact small-n solving in the style of
-//!   [`crate::bb`], with a per-voter tied-pairs lower bound driving a
-//!   max-distance prune;
-//! * [`minmax_kwiksort_best_of`] / [`minmax_local_search`] /
-//!   [`minmax_aggregate`] — heuristics: KwikSort restarts scored by
-//!   max-cost, plus a minmax-aware local search that moves the current
-//!   *argmax voter* closer instead of the sum;
+//!   [`ProfileTally`]: per-voter bucket-index maps giving O(1) pair
+//!   costs and O(1)-per-voter adjacent-swap deltas, so heuristics score
+//!   moves without rescanning the profile;
+//! * [`minmax_optimal_bb`] — exact small-n solving by the
+//!   [`crate::bb`] search with one pair-cost layer per voter, whose
+//!   per-voter tied-pairs lower bound drives a max-distance prune;
+//! * [`minmax_aggregate`] — the heuristic: KwikSort restarts and
+//!   refined voters, each polished by a minmax-aware local search that
+//!   moves the current *argmax voter* closer instead of the sum;
 //! * [`ClassConstraints`] — candidate → class labels with per-class
 //!   min/max counts inside prefix windows ([`WindowRule`]), enforced by
 //!   pruning in the exact search and by an EDF-style repair step in the
@@ -28,7 +27,7 @@
 //! minmax optima are directly comparable with every sum-objective
 //! aggregator in the crate.
 
-use crate::bb::BbStats;
+use crate::bb::{branch_and_bound, BbStats};
 use crate::error::check_inputs;
 use crate::kwiksort::kwiksort_with_tally;
 use crate::tally::ProfileTally;
@@ -344,6 +343,33 @@ impl ClassConstraints {
         self.classes.binary_search(&class).expect("validated class")
     }
 
+    /// Number of distinct classes: the length of the per-class count
+    /// vector [`ClassConstraints::admits`] reads.
+    pub(crate) fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Dense class index (`0..class_count()`) of candidate `e`.
+    pub(crate) fn class_index(&self, e: usize) -> usize {
+        self.dense[e] as usize
+    }
+
+    /// The in-search pruner: given `placed[c]` candidates of each dense
+    /// class in a prefix of length `depth`, may `e` take position
+    /// `depth`? After the placement no open window may exceed its cap,
+    /// a window closing here must meet its floor, and every open floor
+    /// must stay reachable in the window's remaining slots.
+    pub(crate) fn admits(&self, placed: &[u32], e: usize, depth: usize) -> bool {
+        let w = depth + 1;
+        let class = self.class_index(e);
+        self.rules.iter().all(|r| {
+            let rw = r.window as usize;
+            let c = self.dense_of_class(r.class);
+            let count = placed[c] + u32::from(c == class);
+            rw < w || (count <= r.max && r.min.saturating_sub(count) as usize <= rw - w)
+        })
+    }
+
     /// Does `order` (a full ranking) satisfy every rule?
     ///
     /// # Errors
@@ -489,11 +515,12 @@ impl ClassConstraints {
 /// optional [`ClassConstraints`] pruned in-search. Returns
 /// `(optimum, max_cost_x2, stats)`.
 ///
-/// The bound: each voter's distance is at least its cost on the fixed
-/// prefix plus the number of still-unordered pairs it ties (a tied pair
-/// costs 1 whichever way the output orders it); a node dies when the
-/// max over voters of that bound reaches the incumbent. Warm-started by
-/// [`minmax_aggregate`].
+/// This is the [`crate::bb`] search with one pair-cost layer per
+/// voter. The bound: each voter's distance is at least its cost on the
+/// fixed prefix plus the number of still-unordered pairs it ties (a
+/// tied pair costs 1 whichever way the output orders it); a node dies
+/// when the max over voters of that bound reaches the incumbent.
+/// Warm-started by [`minmax_aggregate`].
 ///
 /// # Errors
 /// [`AggregateError::DomainTooLarge`] beyond [`MAX_MINMAX_N`];
@@ -526,260 +553,19 @@ pub fn minmax_optimal_bb(
     // feasibility (or raises the typed infeasibility error).
     let (warm, warm_cost) = minmax_aggregate(inputs, constraints, DEFAULT_SEED)?;
     let obj = MinMaxObjective::build(inputs)?;
-    let m = inputs.len();
-
-    // Per-voter pair costs: cv[(v*n + a)*n + b] = cost of a ahead of b.
-    let mut cv = vec![0u8; m * n * n];
-    for v in 0..m {
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    cv[(v * n + a) * n + b] =
-                        obj.pair_cost_x2(v, a as ElementId, b as ElementId) as u8;
-                }
-            }
-        }
-    }
-    // Per-voter LB: every pair the voter ties costs 1 either way.
-    let tied_lb: Vec<u64> = (0..m)
-        .map(|v| {
-            let mut t = 0u64;
-            for a in 0..n {
-                for b in a + 1..n {
-                    if cv[(v * n + a) * n + b] == 1 {
-                        t += 1;
-                    }
-                }
-            }
-            t
-        })
-        .collect();
-
-    let mut search = Search {
+    Ok(branch_and_bound(
         n,
-        m,
-        cv: &cv,
-        cons: constraints,
-        prefix: Vec::with_capacity(n),
-        in_prefix: vec![false; n],
-        cost: vec![0u64; m],
-        tied_lb,
-        placed: vec![0u32; constraints.map_or(0, |c| c.classes.len())],
-        best_perm: warm.as_permutation().expect("heuristic emits full rankings"),
-        best_cost: warm_cost,
-        stats: BbStats {
-            nodes: 0,
-            pruned: 0,
-        },
-    };
-    search.dfs();
-    let order = BucketOrder::from_permutation(&search.best_perm).expect("permutation preserved");
-    Ok((order, search.best_cost, search.stats))
-}
-
-struct Search<'a> {
-    n: usize,
-    m: usize,
-    cv: &'a [u8],
-    cons: Option<&'a ClassConstraints>,
-    prefix: Vec<ElementId>,
-    in_prefix: Vec<bool>,
-    /// Per-voter cost of the fixed prefix.
-    cost: Vec<u64>,
-    /// Per-voter tied pairs wholly inside the unplaced set.
-    tied_lb: Vec<u64>,
-    /// Per-dense-class prefix counts (empty when unconstrained).
-    placed: Vec<u32>,
-    best_perm: Vec<ElementId>,
-    best_cost: u64,
-    stats: BbStats,
-}
-
-impl Search<'_> {
-    fn dfs(&mut self) {
-        self.stats.nodes += 1;
-        let depth = self.prefix.len();
-        if depth == self.n {
-            let total = self.cost.iter().copied().max().unwrap_or(0);
-            if total < self.best_cost {
-                self.best_cost = total;
-                self.best_perm = self.prefix.clone();
-            }
-            return;
-        }
-        // Candidate next elements with their per-voter increments,
-        // cheapest optimistic bound first.
-        let mut cands: Vec<(u64, ElementId, Vec<u64>, Vec<u64>)> = Vec::new();
-        for e in 0..self.n {
-            if self.in_prefix[e] {
-                continue;
-            }
-            if let Some(cc) = self.cons {
-                if self.cap_blocked(cc, e, depth) {
-                    self.stats.pruned += 1;
-                    continue;
-                }
-            }
-            let mut inc = vec![0u64; self.m];
-            let mut tdrop = vec![0u64; self.m];
-            let mut bound = 0u64;
-            for v in 0..self.m {
-                let row = &self.cv[(v * self.n + e) * self.n..(v * self.n + e + 1) * self.n];
-                for (u, &c) in row.iter().enumerate() {
-                    if u == e || self.in_prefix[u] {
-                        continue;
-                    }
-                    inc[v] += c as u64;
-                    if c == 1 {
-                        tdrop[v] += 1;
-                    }
-                }
-                bound = bound.max(self.cost[v] + inc[v] + self.tied_lb[v] - tdrop[v]);
-            }
-            if bound >= self.best_cost {
-                self.stats.pruned += 1;
-                continue;
-            }
-            cands.push((bound, e as ElementId, inc, tdrop));
-        }
-        cands.sort_unstable_by_key(|&(b, e, _, _)| (b, e));
-        for (bound, e, inc, tdrop) in cands {
-            // Recheck: the incumbent may have improved since collection.
-            if bound >= self.best_cost {
-                self.stats.pruned += 1;
-                continue;
-            }
-            for v in 0..self.m {
-                self.cost[v] += inc[v];
-                self.tied_lb[v] -= tdrop[v];
-            }
-            self.prefix.push(e);
-            self.in_prefix[e as usize] = true;
-            let mut ok = true;
-            if let Some(cc) = self.cons {
-                self.placed[cc.dense[e as usize] as usize] += 1;
-                ok = self.windows_ok(cc, depth + 1);
-            }
-            if ok {
-                self.dfs();
-            } else {
-                self.stats.pruned += 1;
-            }
-            if let Some(cc) = self.cons {
-                self.placed[cc.dense[e as usize] as usize] -= 1;
-            }
-            self.in_prefix[e as usize] = false;
-            self.prefix.pop();
-            for v in 0..self.m {
-                self.cost[v] -= inc[v];
-                self.tied_lb[v] += tdrop[v];
-            }
-        }
-    }
-
-    /// Would placing `e` at position `depth` bust a cap whose window is
-    /// still open?
-    fn cap_blocked(&self, cc: &ClassConstraints, e: usize, depth: usize) -> bool {
-        let cls = cc.labels[e];
-        let placed = self.placed[cc.dense[e] as usize];
-        cc.rules
-            .iter()
-            .any(|r| r.class == cls && r.window as usize > depth && placed + 1 > r.max)
-    }
-
-    /// After extending the prefix to length `w`: every rule whose
-    /// window just closed must hold exactly, and every still-open floor
-    /// must remain reachable in its remaining slots.
-    fn windows_ok(&self, cc: &ClassConstraints, w: usize) -> bool {
-        for r in &cc.rules {
-            let placed = self.placed[cc.dense_of_class(r.class)];
-            let rw = r.window as usize;
-            if rw == w {
-                if placed < r.min || placed > r.max {
-                    return false;
-                }
-            } else if rw > w && (r.min.saturating_sub(placed)) as usize > rw - w {
-                return false;
-            }
-        }
-        true
-    }
+        obj.m,
+        |v, a, b| obj.pair_cost_x2(v, a, b) as u32,
+        constraints,
+        warm.as_permutation().expect("heuristic emits full rankings"),
+        warm_cost,
+    ))
 }
 
 // ---------------------------------------------------------------------
 // Heuristics
 // ---------------------------------------------------------------------
-
-/// KwikSort restarts scored by the **max**-cost objective (instead of
-/// the Kemeny sum of [`crate::kwiksort::kwiksort_best_of`]), each
-/// repaired to feasibility first when constraints are given. Returns
-/// the best candidate and its max cost ×2.
-///
-/// # Errors
-/// As [`minmax_aggregate`].
-pub fn minmax_kwiksort_best_of(
-    inputs: &[BucketOrder],
-    seed: u64,
-    restarts: usize,
-    constraints: Option<&ClassConstraints>,
-) -> Result<(BucketOrder, u64), AggregateError> {
-    let n = check_inputs(inputs)?;
-    check_constraints(n, constraints)?;
-    let tally = ProfileTally::build(inputs)?;
-    let obj = MinMaxObjective::build(inputs)?;
-    let mut best: Option<(BucketOrder, u64)> = None;
-    for i in 0..restarts.max(1) {
-        let mut cand = kwiksort_with_tally(&tally, seed.wrapping_add(i as u64))?;
-        if let Some(cc) = constraints {
-            cand = cc.repair(&cand)?;
-        }
-        let c = obj.max_cost_x2(&cand)?;
-        if best.as_ref().is_none_or(|&(_, bc)| c < bc) {
-            best = Some((cand, c));
-        }
-    }
-    Ok(best.expect("restarts ≥ 1"))
-}
-
-/// Minmax-aware local search: repeatedly finds the current **argmax
-/// voter** and applies the adjacent swap that most reduces the
-/// objective `(max cost, total cost)` lexicographically, preferring
-/// swaps that move the argmax voter closer; falls back to any improving
-/// swap when the argmax voter has none. Swaps that would violate a
-/// constraint window are never taken, so feasibility is preserved.
-/// Returns the local optimum and its max cost ×2.
-///
-/// # Errors
-/// [`AggregateError::NotFullRanking`] if `candidate` has ties; plus the
-/// errors of [`minmax_aggregate`]. An infeasible `candidate` is
-/// repaired first.
-pub fn minmax_local_search(
-    candidate: &BucketOrder,
-    inputs: &[BucketOrder],
-    constraints: Option<&ClassConstraints>,
-) -> Result<(BucketOrder, u64), AggregateError> {
-    let n = check_inputs(inputs)?;
-    check_constraints(n, constraints)?;
-    if candidate.len() != n {
-        return Err(AggregateError::DomainMismatch {
-            expected: n,
-            found: candidate.len(),
-        });
-    }
-    let start = match constraints {
-        Some(cc) => cc.repair(candidate)?,
-        None => candidate.clone(),
-    };
-    let perm = start
-        .as_permutation()
-        .ok_or(AggregateError::NotFullRanking)?;
-    let obj = MinMaxObjective::build(inputs)?;
-    let (out, cost) = local_search_perm(&obj, constraints, perm);
-    Ok((
-        BucketOrder::from_permutation(&out).expect("local search permutes"),
-        cost,
-    ))
-}
 
 /// The full heuristic pipeline the server's `MinMaxAgg` opcode runs:
 /// KwikSort restarts plus refined-input seeds (each voter's own ranking
@@ -866,7 +652,7 @@ fn check_constraints(
     Ok(())
 }
 
-/// The hill climb shared by the public heuristics. `perm` must already
+/// The hill climb behind [`minmax_aggregate`]. `perm` must already
 /// be feasible; `(max, total)` strictly decreases every accepted move,
 /// so termination is immediate from well-ordering.
 fn local_search_perm(
@@ -1228,14 +1014,18 @@ mod tests {
     }
 
     #[test]
-    fn local_search_never_worsens_and_kwiksort_scores_by_max() {
+    fn local_search_never_worsens() {
         let inputs = lcg_profile(9, 8, 6, 5);
         let obj = MinMaxObjective::build(&inputs).unwrap();
-        let (kw, kw_cost) = minmax_kwiksort_best_of(&inputs, 3, 8, None).unwrap();
-        assert_eq!(obj.max_cost_x2(&kw).unwrap(), kw_cost);
-        let (ls, ls_cost) = minmax_local_search(&kw, &inputs, None).unwrap();
-        assert!(ls_cost <= kw_cost);
-        assert_eq!(obj.max_cost_x2(&ls).unwrap(), ls_cost);
+        let tally = ProfileTally::build(&inputs).unwrap();
+        for seed in 0..8u64 {
+            let start = kwiksort_with_tally(&tally, seed).unwrap();
+            let start_cost = obj.max_cost_x2(&start).unwrap();
+            let (perm, ls_cost) = local_search_perm(&obj, None, start.as_permutation().unwrap());
+            assert!(ls_cost <= start_cost, "seed {seed}");
+            let ls = BucketOrder::from_permutation(&perm).unwrap();
+            assert_eq!(obj.max_cost_x2(&ls).unwrap(), ls_cost);
+        }
     }
 
     #[test]

@@ -54,11 +54,7 @@
 //! `u32` and the ×2 weight matrix derived in one fused sweep over the
 //! pair triangles — the `w2` derivation costs no extra pass.
 //!
-//! The parallel path ([`ProfileTally::build_parallel`]) splits voters
-//! across scoped threads (clamped to the machine's available
-//! parallelism), each running the same chunked kernel into a private
-//! partial, then merges. DESIGN.md §3.3b documents the
-//! microarchitecture; `tests/tally_conformance.rs` proves the tiled,
+//! DESIGN.md §3.3b documents the microarchitecture; `tests/tally_conformance.rs` proves the tiled,
 //! narrow-cell build bit-identical to the naive `prefers()` reference,
 //! including chunk-promotion boundaries.
 
@@ -145,18 +141,16 @@ fn widen_into(acc: &mut [u32], partial: &[u16]) {
     }
 }
 
-/// Folds the final partial into `strict` and derives the ×2 weights in
-/// the same sweep: each unordered pair's two strict cells are
-/// finalized together and both `w2` triangles written from them
+/// Folds the last chunk's partial into `strict` and derives the ×2
+/// weights in the same sweep: each unordered pair's two strict cells
+/// are finalized together and both `w2` triangles written from them
 /// (`w2(a, b) = m + s(a, b) − s(b, a)`), so the `O(n²)` `w2`
 /// derivation is fused into the merge instead of costing a separate
-/// pass over both matrices. Generic over the partial's cell width: the
-/// sequential path feeds the last `u16` chunk, the parallel path the
-/// last worker's `u32` partial.
-fn merge_last_and_derive<C: Copy + Into<u32>>(
+/// pass over both matrices.
+fn merge_last_and_derive(
     strict: &mut [u32],
     w2: &mut [u32],
-    last: &[C],
+    last: &[u16],
     n: usize,
     m: usize,
 ) {
@@ -166,8 +160,8 @@ fn merge_last_and_derive<C: Copy + Into<u32>>(
         for b in a + 1..n {
             let ab = a * n + b;
             let ba = b * n + a;
-            let sab = strict[ab] + last[ab].into();
-            let sba = strict[ba] + last[ba].into();
+            let sab = strict[ab] + u32::from(last[ab]);
+            let sba = strict[ba] + u32::from(last[ba]);
             strict[ab] = sab;
             strict[ba] = sba;
             w2[ab] = m32 + sab - sba;
@@ -176,17 +170,21 @@ fn merge_last_and_derive<C: Copy + Into<u32>>(
     }
 }
 
-/// The sequential build pass: chunk the voters, accumulate each chunk
-/// in a reused `u16` partial, promote every chunk but the last into
-/// `strict`, and fold the last chunk into the fused `w2` sweep.
+/// The build pass: chunk the voters, accumulate each chunk in a reused
+/// `u16` partial, promote every chunk but the last into `strict`, and
+/// fold the last chunk into the fused `w2` sweep.
 fn accumulate_seq(
-    strict: &mut [u32],
-    w2: &mut [u32],
-    n: usize,
     inputs: &[BucketOrder],
     chunk_voters: usize,
-) {
+) -> Result<ProfileTally, AggregateError> {
+    let n = check_inputs(inputs)?;
     let m = inputs.len();
+    assert!(
+        m <= (u32::MAX / 2) as usize,
+        "profile too large for u32 tally cells ({m} voters)"
+    );
+    let mut strict = vec![0u32; n * n];
+    let mut w2 = vec![0u32; n * n];
     let nchunks = m.div_ceil(chunk_voters);
     let mut partial = vec![0u16; n * n];
     for (i, chunk) in inputs.chunks(chunk_voters).enumerate() {
@@ -195,14 +193,16 @@ fn accumulate_seq(
         }
         accumulate_chunk(&mut partial, n, chunk);
         if i + 1 < nchunks {
-            widen_into(strict, &partial);
+            widen_into(&mut strict, &partial);
         }
     }
-    merge_last_and_derive(strict, w2, &partial, n, m);
+    merge_last_and_derive(&mut strict, &mut w2, &partial, n, m);
+    Ok(ProfileTally { n, m, strict, w2 })
 }
 
 impl ProfileTally {
-    /// Builds the tally sequentially: one pass per voter.
+    /// Builds the tally: one streaming pass per voter, chunked into
+    /// [`CHUNK_VOTERS`]-voter `u16` partials.
     ///
     /// # Errors
     /// [`AggregateError::NoInputs`] /
@@ -212,96 +212,10 @@ impl ProfileTally {
     /// Panics if the profile has more than `u32::MAX / 2` voters (the
     /// ×2-scaled weights would overflow the `u32` cells).
     pub fn build(inputs: &[BucketOrder]) -> Result<Self, AggregateError> {
-        Self::build_parallel(inputs, 1)
+        accumulate_seq(inputs, CHUNK_VOTERS)
     }
 
-    /// Builds the tally with up to `threads` scoped worker threads:
-    /// voters are split into contiguous chunks, each thread runs the
-    /// chunked `u16` kernel into a private partial, and the partials
-    /// are merged (the last one fused with the `w2` derivation).
-    /// `threads ≤ 1` (or a small profile) falls back to the sequential
-    /// pass.
-    ///
-    /// `threads` is clamped to
-    /// [`std::thread::available_parallelism`] before chunking — asking
-    /// for more workers than the machine has cores used to *slow the
-    /// build down* (the oversubscribed partials thrash one core and the
-    /// merge pays for every extra matrix). Benchmarks that need
-    /// fixed-width scaling rows regardless of the host use
-    /// [`ProfileTally::build_parallel_unclamped`].
-    ///
-    /// # Errors
-    /// [`AggregateError::NoInputs`] /
-    /// [`AggregateError::DomainMismatch`].
-    ///
-    /// # Panics
-    /// As [`ProfileTally::build`].
-    pub fn build_parallel(inputs: &[BucketOrder], threads: usize) -> Result<Self, AggregateError> {
-        let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        Self::build_parallel_unclamped(inputs, threads.min(avail))
-    }
-
-    /// [`ProfileTally::build_parallel`] without the
-    /// available-parallelism clamp: spawns exactly `min(threads, m)`
-    /// workers even on a narrower machine. This exists for benchmarks
-    /// that measure fixed thread-width scaling rows; library callers
-    /// want the clamped entry point.
-    ///
-    /// # Errors
-    /// # Panics
-    /// As [`ProfileTally::build_parallel`].
-    pub fn build_parallel_unclamped(
-        inputs: &[BucketOrder],
-        threads: usize,
-    ) -> Result<Self, AggregateError> {
-        let n = check_inputs(inputs)?;
-        let m = inputs.len();
-        assert!(
-            m <= (u32::MAX / 2) as usize,
-            "profile too large for u32 tally cells ({m} voters)"
-        );
-        let mut strict = vec![0u32; n * n];
-        let mut w2 = vec![0u32; n * n];
-        let threads = threads.clamp(1, m);
-        if threads <= 1 || m < 4 {
-            accumulate_seq(&mut strict, &mut w2, n, inputs, CHUNK_VOTERS);
-        } else {
-            let per = m.div_ceil(threads);
-            let mut partials: Vec<Vec<u32>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = inputs
-                    .chunks(per)
-                    .map(|voters| {
-                        scope.spawn(move || {
-                            let mut acc = vec![0u32; n * n];
-                            let mut partial = vec![0u16; n * n];
-                            for chunk in voters.chunks(CHUNK_VOTERS) {
-                                partial.fill(0);
-                                accumulate_chunk(&mut partial, n, chunk);
-                                widen_into(&mut acc, &partial);
-                            }
-                            acc
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("tally worker panicked"));
-                }
-            });
-            // Sum all but the last worker's partial into `strict`, then
-            // fold the last one into the fused w2-derivation sweep.
-            let last = partials.pop().expect("at least one tally worker");
-            for partial in &partials {
-                for (cell, &add) in strict.iter_mut().zip(partial) {
-                    *cell += add;
-                }
-            }
-            merge_last_and_derive(&mut strict, &mut w2, &last, n, m);
-        }
-        Ok(ProfileTally { n, m, strict, w2 })
-    }
-
-    /// Sequential build with an explicit voter-chunk size — the
+    /// [`ProfileTally::build`] with an explicit voter-chunk size — the
     /// conformance hook behind the chunk-boundary differential lane in
     /// `tests/tally_conformance.rs` (any `chunk_voters` must reproduce
     /// [`ProfileTally::build`] bit-for-bit). `chunk_voters` is clamped
@@ -315,22 +229,7 @@ impl ProfileTally {
         inputs: &[BucketOrder],
         chunk_voters: usize,
     ) -> Result<Self, AggregateError> {
-        let n = check_inputs(inputs)?;
-        let m = inputs.len();
-        assert!(
-            m <= (u32::MAX / 2) as usize,
-            "profile too large for u32 tally cells ({m} voters)"
-        );
-        let mut strict = vec![0u32; n * n];
-        let mut w2 = vec![0u32; n * n];
-        accumulate_seq(
-            &mut strict,
-            &mut w2,
-            n,
-            inputs,
-            chunk_voters.clamp(1, CHUNK_VOTERS),
-        );
-        Ok(ProfileTally { n, m, strict, w2 })
+        accumulate_seq(inputs, chunk_voters.clamp(1, CHUNK_VOTERS))
     }
 
     /// Assembles a tally from already-consistent matrices — the hook the
@@ -635,30 +534,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential() {
+    fn chunked_build_matches_single_chunk() {
         let inputs: Vec<BucketOrder> = (0..13)
             .map(|i| {
                 let k: Vec<i64> = (0..9).map(|e| ((e * (i + 2) + i) % 4) as i64).collect();
                 keys(&k)
             })
             .collect();
-        let seq = ProfileTally::build(&inputs).unwrap();
-        for threads in [1usize, 2, 3, 8, 64] {
-            assert_eq!(
-                ProfileTally::build_parallel(&inputs, threads).unwrap(),
-                seq,
-                "threads = {threads}"
-            );
-            assert_eq!(
-                ProfileTally::build_parallel_unclamped(&inputs, threads).unwrap(),
-                seq,
-                "unclamped threads = {threads}"
-            );
-        }
+        let single = ProfileTally::build(&inputs).unwrap();
         for chunk in [1usize, 2, 3, 5, 13, 1000] {
             assert_eq!(
                 ProfileTally::build_with_chunk(&inputs, chunk).unwrap(),
-                seq,
+                single,
                 "chunk = {chunk}"
             );
         }

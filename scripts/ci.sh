@@ -134,11 +134,9 @@ echo "==> bench_aggregate_tally smoke gate"
 # the tally-vs-direct bench runs end to end (its worst-aggregator line
 # is the regression canary, and it reports bytes/s + roofline like the
 # batch bench) and seeds the aggregate baseline if absent. The pass
-# ends with two hard gates at 256×512: the single-thread tiled build
-# must hold ≥ 4× over the naive scan (always asserted — the
-# anti-regression floor on the kernel, never below the seed's ratio),
-# and par8 ≥ 1.5× seq, asserted only on machines with ≥ 8 cores (SKIP
-# otherwise).
+# ends with a hard gate at 256×512: the tiled build must hold ≥ 4×
+# over the naive scan (the anti-regression floor on the kernel, never
+# below the seed's ratio).
 agg_smoke_out="target/BENCH_aggregate.smoke.json"
 BUCKETRANK_BENCH_FAST=1 BUCKETRANK_BENCH_OUT="$agg_smoke_out" \
   cargo run --release --offline -p bucketrank-bench --bin bench_aggregate_tally
@@ -183,6 +181,13 @@ echo "==> exp_minmax smoke gate"
 # rescan.
 BUCKETRANK_BENCH_FAST=1 \
   cargo run --release --offline -p bucketrank-bench --bin exp_minmax
+
+echo "==> perfbench self-tests (BENCHMARK.json contract + mirror-checked pass of every workload)"
+# The end-to-end benchmark's own suite: percentile and self-time
+# helpers, BENCHMARK.json kept in step with the code, and a short pass
+# of every workload whose replies are checked against a client-side
+# mirror.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy (best effort)"
 if cargo clippy --version >/dev/null 2>&1; then

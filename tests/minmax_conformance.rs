@@ -1,8 +1,9 @@
 //! Differential conformance suite for minmax-objective aggregation
 //! (`aggregate::minmax`): the exact branch-and-bound optimum must
 //! match brute-force enumeration at small `n` — with and without class
-//! constraints — the heuristic pipeline's max-cost must dominate the
-//! exact optimum and stay within 2× of it on every generated case,
+//! constraints, and for the Kemeny sum objective the same search
+//! solves (`aggregate::bb`) — the heuristic pipeline's max-cost must
+//! dominate the exact optimum and stay within 2× of it on every generated case,
 //! malformed or infeasible constraints must be rejected typed, and the
 //! server's `MinMaxAgg` opcode must answer byte-identically to an
 //! in-process mirror running the same pipeline at the wire seed.
@@ -13,6 +14,7 @@
 //! [`ClassConstraints::satisfied`]), so the oracle shares no code with
 //! the subsystem under test.
 
+use bucketrank::aggregate::bb::kemeny_optimal_bb;
 use bucketrank::aggregate::minmax::{
     self, ClassConstraints, MinMaxObjective, WindowRule,
 };
@@ -65,6 +67,14 @@ fn naive_max_cost_x2(profile: &[BucketOrder], candidate: &BucketOrder) -> u64 {
         .unwrap_or(0)
 }
 
+/// Oracle Kemeny objective: the `Kprof ×2` sum over voters.
+fn naive_sum_cost_x2(profile: &[BucketOrder], candidate: &BucketOrder) -> u64 {
+    profile
+        .iter()
+        .map(|v| kendall::kprof_x2(candidate, v).expect("shared domain"))
+        .sum()
+}
+
 /// Oracle constraint check: count each rule's class inside its prefix
 /// window of `perm` by hand.
 fn naive_satisfies(labels: &[u32], rules: &[WindowRule], perm: &[ElementId]) -> bool {
@@ -105,14 +115,15 @@ fn exact_matches_brute_force_unconstrained() {
         cases(),
         |(profile, _)| {
             let n = profile[0].len();
-            let brute = permutations(n)
+            // One enumeration scores both objectives the shared search
+            // solves: the max over voters and the Kemeny sum.
+            let (brute, brute_sum) = permutations(n)
                 .into_iter()
                 .map(|p| {
                     let o = BucketOrder::from_permutation(&p).unwrap();
-                    naive_max_cost_x2(profile, &o)
+                    (naive_max_cost_x2(profile, &o), naive_sum_cost_x2(profile, &o))
                 })
-                .min()
-                .unwrap();
+                .fold((u64::MAX, u64::MAX), |(m, s), (pm, ps)| (m.min(pm), s.min(ps)));
             let (order, cost, _) = minmax::minmax_optimal_bb(profile, None).unwrap();
             assert_eq!(cost, brute, "exact optimum diverged from enumeration");
             // The returned order realizes the reported cost.
@@ -120,6 +131,16 @@ fn exact_matches_brute_force_unconstrained() {
             // ... and the objective struct agrees with the oracle on it.
             let obj = MinMaxObjective::build(profile).unwrap();
             assert_eq!(obj.max_cost_x2(&order).unwrap(), cost);
+
+            let (kemeny, kemeny_cost, _) = kemeny_optimal_bb(profile).unwrap();
+            assert_eq!(kemeny_cost, brute_sum, "Kemeny optimum diverged from enumeration");
+            assert_eq!(naive_sum_cost_x2(profile, &kemeny), kemeny_cost);
+
+            // With one voter the max is the sum: both optima coincide.
+            let single = &profile[..1];
+            let (_, single_max, _) = minmax::minmax_optimal_bb(single, None).unwrap();
+            let (_, single_sum, _) = kemeny_optimal_bb(single).unwrap();
+            assert_eq!(single_max, single_sum, "one-voter minmax and Kemeny optima differ");
         },
     );
 }

@@ -4,8 +4,7 @@
 //! the naive per-pair `prefers()`/`is_tied()` loops it replaced, and the
 //! total Kemeny objective must equal the `kendall::kprof_x2` sum over
 //! the voters — on degenerate-heavy profiles (singleton domains,
-//! all-tied voters, unanimous full profiles). The parallel tally build
-//! is pinned to the sequential one, and the rewired aggregators
+//! all-tied voters, unanimous full profiles). The rewired aggregators
 //! (majority digraph, local Kemenization) are pinned to in-test copies
 //! of their pre-tally reference implementations.
 //!
@@ -208,8 +207,6 @@ fn promotion_boundary_is_exact_at_chunk_voters() {
     for m in [CHUNK_VOTERS - 1, CHUNK_VOTERS, CHUNK_VOTERS + 1, CHUNK_VOTERS + 2] {
         let profile: Vec<BucketOrder> = (0..m).map(|i| pool[i % pool.len()].clone()).collect();
         let t = ProfileTally::build(&profile).unwrap();
-        let par = ProfileTally::build_parallel_unclamped(&profile, 3).unwrap();
-        assert_eq!(par, t, "parallel promotion at m = {m}");
         let (cycles, rem) = (m / pool.len(), m % pool.len());
         for a in 0..4 {
             for b in 0..4 {
@@ -229,21 +226,6 @@ fn promotion_boundary_is_exact_at_chunk_voters() {
         // single-chunk case peaks at exactly u16::MAX.
         assert_eq!(t.strict_count(0, 3), m as u32);
     }
-}
-
-#[test]
-fn parallel_build_matches_sequential() {
-    check(
-        "parallel_build_matches_sequential",
-        gen::profile_with_degenerates(1..=12, 10, 4),
-        |profile| {
-            let seq = ProfileTally::build(profile).unwrap();
-            for threads in [2usize, 3, 5, 16] {
-                let par = ProfileTally::build_parallel(profile, threads).unwrap();
-                assert_eq!(par, seq, "threads = {threads}");
-            }
-        },
-    );
 }
 
 #[test]
