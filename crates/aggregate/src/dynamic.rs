@@ -458,13 +458,47 @@ impl DynamicProfile {
             .collect()
     }
 
-    /// Pushes a new voter; `O(n²)`.
+    /// The checks [`push_voter`](Self::push_voter) runs before it
+    /// changes anything, in its order: domain size, then capacity.
+    /// Durability layers run it before logging a push, so a record is
+    /// written only for an edit the engine will accept.
     ///
     /// # Errors
-    /// [`AggregateError::DomainMismatch`] if the ranking's domain size
-    /// differs; [`AggregateError::TooManyVoters`] at the `u32` tally
-    /// capacity. Either way the engine is left untouched.
-    pub fn push_voter(&mut self, ranking: BucketOrder) -> Result<VoterId, AggregateError> {
+    /// As for [`push_voter`](Self::push_voter).
+    pub fn check_push(&self, ranking: &BucketOrder) -> Result<(), AggregateError> {
+        self.check_domain(ranking)?;
+        if self.tally.voters() >= Self::MAX_VOTERS {
+            return Err(AggregateError::TooManyVoters {
+                limit: Self::MAX_VOTERS,
+            });
+        }
+        Ok(())
+    }
+
+    /// The check [`remove_voter`](Self::remove_voter) runs before it
+    /// changes anything: `id` is live.
+    ///
+    /// # Errors
+    /// As for [`remove_voter`](Self::remove_voter).
+    pub fn check_remove(&self, id: VoterId) -> Result<(), AggregateError> {
+        if self.voters.contains_key(&id.0) {
+            Ok(())
+        } else {
+            Err(AggregateError::UnknownVoter { id: id.0 })
+        }
+    }
+
+    /// The checks [`replace_voter`](Self::replace_voter) runs before it
+    /// changes anything, in its order: domain size, then `id` is live.
+    ///
+    /// # Errors
+    /// As for [`replace_voter`](Self::replace_voter).
+    pub fn check_replace(&self, id: VoterId, ranking: &BucketOrder) -> Result<(), AggregateError> {
+        self.check_domain(ranking)?;
+        self.check_remove(id)
+    }
+
+    fn check_domain(&self, ranking: &BucketOrder) -> Result<(), AggregateError> {
         let n = self.tally.len();
         if ranking.len() != n {
             return Err(AggregateError::DomainMismatch {
@@ -472,12 +506,19 @@ impl DynamicProfile {
                 found: ranking.len(),
             });
         }
+        Ok(())
+    }
+
+    /// Pushes a new voter; `O(n²)`.
+    ///
+    /// # Errors
+    /// [`AggregateError::DomainMismatch`] if the ranking's domain size
+    /// differs; [`AggregateError::TooManyVoters`] at the `u32` tally
+    /// capacity. Either way the engine is left untouched.
+    pub fn push_voter(&mut self, ranking: BucketOrder) -> Result<VoterId, AggregateError> {
+        self.check_push(&ranking)?;
+        let n = self.tally.len();
         let m = self.tally.voters();
-        if m >= Self::MAX_VOTERS {
-            return Err(AggregateError::TooManyVoters {
-                limit: Self::MAX_VOTERS,
-            });
-        }
         {
             let (strict, w2) = self.tally.parts_mut();
             apply_voter(strict, w2, n, &ranking, true);
@@ -510,10 +551,8 @@ impl DynamicProfile {
     /// never a panic, with the engine untouched (in particular no tally
     /// cell is decremented).
     pub fn remove_voter(&mut self, id: VoterId) -> Result<BucketOrder, AggregateError> {
-        let ranking = self
-            .voters
-            .remove(&id.0)
-            .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
+        self.check_remove(id)?;
+        let ranking = self.voters.remove(&id.0).expect("checked live");
         let n = self.tally.len();
         let m = self.tally.voters();
         {
@@ -553,18 +592,9 @@ impl DynamicProfile {
         id: VoterId,
         ranking: BucketOrder,
     ) -> Result<BucketOrder, AggregateError> {
+        self.check_replace(id, &ranking)?;
         let n = self.tally.len();
-        if ranking.len() != n {
-            return Err(AggregateError::DomainMismatch {
-                expected: n,
-                found: ranking.len(),
-            });
-        }
-        let old = self
-            .voters
-            .get(&id.0)
-            .cloned()
-            .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
+        let old = self.voters.get(&id.0).cloned().expect("checked live");
         let m = self.tally.voters();
         {
             let (strict, w2) = self.tally.parts_mut();
@@ -904,6 +934,32 @@ mod tests {
         dp.push_voter(BucketOrder::trivial(1)).unwrap();
         assert_eq!(dp.median_positions().unwrap(), vec![Pos::from_rank(1)]);
         assert_matches_rebuild(&dp);
+    }
+
+    #[test]
+    fn checks_agree_with_the_edits_they_guard() {
+        let mut dp = DynamicProfile::new(3, MedianPolicy::Lower);
+        let v = dp.push_voter(keys(&[1, 2, 3])).unwrap();
+        let (ghost, short, good) = (VoterId::from_raw(99), keys(&[1, 2]), keys(&[3, 2, 1]));
+        // A refusing check answers exactly what its edit answers, and
+        // the refused edit changes nothing.
+        assert_eq!(dp.check_push(&short), dp.push_voter(short.clone()).map(drop));
+        assert_eq!(dp.check_remove(ghost), dp.remove_voter(ghost).map(drop));
+        for (id, r) in [(v, &short), (ghost, &good), (ghost, &short)] {
+            let edit = dp.replace_voter(id, r.clone()).map(drop);
+            assert!(edit.is_err());
+            assert_eq!(dp.check_replace(id, r), edit);
+        }
+        // Both faults at once: the domain check runs first.
+        assert!(matches!(
+            dp.check_replace(ghost, &short),
+            Err(AggregateError::DomainMismatch { .. })
+        ));
+        assert_eq!(dp.generation(), 1);
+        assert_matches_rebuild(&dp);
+        assert!(dp.check_push(&good).is_ok());
+        assert!(dp.check_replace(v, &good).is_ok());
+        assert!(dp.check_remove(v).is_ok());
     }
 
     #[test]

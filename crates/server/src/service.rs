@@ -7,9 +7,10 @@
 //! unchanged from the unsharded service:
 //!
 //! * edits (`push_voter` / `remove_voter` / `replace_voter`) take the
-//!   shard mutex to resolve the session, log a write-ahead record when
-//!   durability is on, apply the `O(n²)` incremental update under the
-//!   session's edit mutex, and publish a fresh [`DynamicSnapshot`];
+//!   shard mutex to resolve the session, let the engine check the edit,
+//!   log a write-ahead record when durability is on, apply the `O(n²)`
+//!   incremental update under the session's edit mutex, and publish a
+//!   fresh [`DynamicSnapshot`];
 //! * reads (`median_order`, `top_k`, `kemeny_cost`) clone the
 //!   published `Arc` and compute entirely on the owned snapshot — a
 //!   read **never holds the edit mutex**, so a slow or numerous read
@@ -30,7 +31,7 @@ use crate::proto::{
     ErrorCode, MetricKind, Request, Response, ShardStats, WirePolicy, WireRule, MAX_ELEMENTS,
     MAX_NAME, MAX_SHARDS,
 };
-use crate::shard::{agg_error, error, shard_index, Edit, Session, Shard};
+use crate::shard::{agg_error, error, shard_index, Session, Shard};
 use bucketrank_aggregate::dynamic::{DynamicSnapshot, VoterId};
 use bucketrank_aggregate::minmax::{self, ClassConstraints, WindowRule};
 use bucketrank_aggregate::AggregateError;
@@ -233,19 +234,9 @@ impl Service {
                 *cache = None;
                 self.shard_for(&name).drop_session(&name)
             }
-            Request::PushVoter { session, ranking } => self
-                .shard_for(&session)
-                .edit(&session, Edit::Push { ranking }),
-            Request::RemoveVoter { session, voter } => self
-                .shard_for(&session)
-                .edit(&session, Edit::Remove { voter }),
-            Request::ReplaceVoter {
-                session,
-                voter,
-                ranking,
-            } => self
-                .shard_for(&session)
-                .edit(&session, Edit::Replace { voter, ranking }),
+            Request::PushVoter { ref session, .. }
+            | Request::RemoveVoter { ref session, .. }
+            | Request::ReplaceVoter { ref session, .. } => self.shard_for(session).edit(req),
             Request::MedianOrder { session } => {
                 self.read(&session, cache, |snap| Ok(Response::Ranking {
                     order: snap.median_order(),
@@ -523,7 +514,10 @@ mod tests {
     }
 
     fn with_session(n: u32) -> Service {
-        let svc = Service::new(8);
+        with_session_in(Service::new(8), n)
+    }
+
+    fn with_session_in(svc: Service, n: u32) -> Service {
         assert_eq!(
             svc.handle(Request::CreateSession {
                 name: "s".into(),
@@ -652,110 +646,149 @@ mod tests {
         assert_eq!(svc.sessions(), 0);
     }
 
+    /// Every failure is typed, and a durable service rejects exactly as
+    /// a memory-only one does: byte-identical replies, and no WAL record
+    /// for any rejection.
     #[test]
     fn typed_errors_cover_every_failure() {
-        let svc = with_session(3);
-        let err_code = |resp: Response| match resp {
-            Response::Error { code, .. } => code,
-            other => panic!("expected error, got {other:?}"),
-        };
-        // Duplicate create, unknown session, capacity.
-        assert_eq!(
-            err_code(svc.handle(Request::CreateSession {
-                name: "s".into(),
-                n: 3,
-                policy: WirePolicy::Upper,
-            })),
-            ErrorCode::SessionExists
-        );
-        assert_eq!(
-            err_code(svc.handle(Request::MedianOrder { session: "nope".into() })),
-            ErrorCode::UnknownSession
-        );
-        assert_eq!(
-            err_code(svc.handle(Request::DropSession { name: "nope".into() })),
-            ErrorCode::UnknownSession
-        );
-        assert_eq!(
-            err_code(svc.handle(Request::CreateSession {
-                name: "".into(),
-                n: 3,
-                policy: WirePolicy::Lower,
-            })),
-            ErrorCode::BadRequest
-        );
-        // Reads on an empty session.
-        assert_eq!(
-            err_code(svc.handle(Request::MedianOrder { session: "s".into() })),
-            ErrorCode::NoVoters
-        );
-        // Domain mismatch on push; unknown voter on remove/pair.
-        assert_eq!(
-            err_code(svc.handle(Request::PushVoter {
-                session: "s".into(),
-                ranking: keys(&[1, 2]),
-            })),
-            ErrorCode::DomainMismatch
-        );
-        let v = push(&svc, keys(&[1, 2, 3]));
-        assert_eq!(
-            err_code(svc.handle(Request::RemoveVoter {
-                session: "s".into(),
-                voter: v + 100,
-            })),
-            ErrorCode::UnknownVoter
-        );
-        assert_eq!(
-            err_code(svc.handle(Request::PairMetric {
-                session: "s".into(),
-                metric: MetricKind::KprofX2,
-                voter_a: v,
-                voter_b: v + 100,
-            })),
-            ErrorCode::UnknownVoter
-        );
-        // Invalid k.
-        assert_eq!(
-            err_code(svc.handle(Request::TopK {
-                session: "s".into(),
-                k: 99,
-            })),
-            ErrorCode::InvalidK
-        );
-        // Weighted requests: unknown voter, wrong-length weights,
-        // overflowing weights — all typed, session stays serving.
-        assert_eq!(
-            err_code(svc.handle(Request::WeightedDist {
-                session: "s".into(),
-                voter_a: v,
-                voter_b: v + 100,
-                weights: vec![1, 1, 1],
-            })),
-            ErrorCode::UnknownVoter
-        );
-        assert_eq!(
-            err_code(svc.handle(Request::TopDiff {
-                session: "s".into(),
-                voter_a: v,
-                voter_b: v,
-                weights: vec![1, 1], // two weights, three elements
-            })),
-            ErrorCode::DomainMismatch
-        );
-        assert_eq!(
-            err_code(svc.handle(Request::WeightedDist {
-                session: "s".into(),
-                voter_a: v,
-                voter_b: v,
-                weights: vec![u64::MAX, 1, 1],
-            })),
-            ErrorCode::BadRequest
-        );
-        // The failed edits left the session serving.
-        assert!(matches!(
-            svc.handle(Request::MedianOrder { session: "s".into() }),
-            Response::Ranking { .. }
-        ));
+        let dir = std::env::temp_dir().join(format!("brsvc-typed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = Service::with_config(ServiceConfig {
+            max_sessions: 8,
+            data_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let wal_records = |svc: &Service| svc.stats().iter().map(|r| r.wal_records).sum::<u64>();
+        let mut transcripts = Vec::new();
+        for svc in [with_session(3), with_session_in(durable, 3)] {
+            let mut transcript: Vec<Vec<u8>> = Vec::new();
+            let mut err_code = |req: Request| {
+                let logged = wal_records(&svc);
+                let resp = svc.handle(req);
+                assert_eq!(
+                    wal_records(&svc),
+                    logged,
+                    "rejection logged a record: {resp:?}"
+                );
+                transcript.push(resp.encode());
+                match resp {
+                    Response::Error { code, .. } => code,
+                    other => panic!("expected error, got {other:?}"),
+                }
+            };
+            // Duplicate create, unknown session, capacity.
+            assert_eq!(
+                err_code(Request::CreateSession {
+                    name: "s".into(),
+                    n: 3,
+                    policy: WirePolicy::Upper,
+                }),
+                ErrorCode::SessionExists
+            );
+            assert_eq!(
+                err_code(Request::MedianOrder { session: "nope".into() }),
+                ErrorCode::UnknownSession
+            );
+            assert_eq!(
+                err_code(Request::DropSession { name: "nope".into() }),
+                ErrorCode::UnknownSession
+            );
+            assert_eq!(
+                err_code(Request::CreateSession {
+                    name: "".into(),
+                    n: 3,
+                    policy: WirePolicy::Lower,
+                }),
+                ErrorCode::BadRequest
+            );
+            // Reads on an empty session.
+            assert_eq!(
+                err_code(Request::MedianOrder { session: "s".into() }),
+                ErrorCode::NoVoters
+            );
+            // Domain mismatch on push; unknown voter on remove/pair.
+            assert_eq!(
+                err_code(Request::PushVoter {
+                    session: "s".into(),
+                    ranking: keys(&[1, 2]),
+                }),
+                ErrorCode::DomainMismatch
+            );
+            let v = push(&svc, keys(&[1, 2, 3]));
+            assert_eq!(
+                err_code(Request::RemoveVoter {
+                    session: "s".into(),
+                    voter: v + 100,
+                }),
+                ErrorCode::UnknownVoter
+            );
+            // Replace: wrong length, unknown voter, and both at once
+            // (the domain check runs first).
+            for (voter, ranking, code) in [
+                (v, keys(&[1, 2]), ErrorCode::DomainMismatch),
+                (v + 100, keys(&[1, 2, 3]), ErrorCode::UnknownVoter),
+                (v + 100, keys(&[1, 2]), ErrorCode::DomainMismatch),
+            ] {
+                let session = "s".into();
+                let req = Request::ReplaceVoter { session, voter, ranking };
+                assert_eq!(err_code(req), code);
+            }
+            assert_eq!(
+                err_code(Request::PairMetric {
+                    session: "s".into(),
+                    metric: MetricKind::KprofX2,
+                    voter_a: v,
+                    voter_b: v + 100,
+                }),
+                ErrorCode::UnknownVoter
+            );
+            // Invalid k.
+            assert_eq!(
+                err_code(Request::TopK {
+                    session: "s".into(),
+                    k: 99,
+                }),
+                ErrorCode::InvalidK
+            );
+            // Weighted requests: unknown voter, wrong-length weights,
+            // overflowing weights — all typed, session stays serving.
+            assert_eq!(
+                err_code(Request::WeightedDist {
+                    session: "s".into(),
+                    voter_a: v,
+                    voter_b: v + 100,
+                    weights: vec![1, 1, 1],
+                }),
+                ErrorCode::UnknownVoter
+            );
+            assert_eq!(
+                err_code(Request::TopDiff {
+                    session: "s".into(),
+                    voter_a: v,
+                    voter_b: v,
+                    weights: vec![1, 1], // two weights, three elements
+                }),
+                ErrorCode::DomainMismatch
+            );
+            assert_eq!(
+                err_code(Request::WeightedDist {
+                    session: "s".into(),
+                    voter_a: v,
+                    voter_b: v,
+                    weights: vec![u64::MAX, 1, 1],
+                }),
+                ErrorCode::BadRequest
+            );
+            // The failed edits left the session serving.
+            assert!(matches!(
+                svc.handle(Request::MedianOrder { session: "s".into() }),
+                Response::Ranking { .. }
+            ));
+            transcripts.push(transcript);
+        }
+        assert_eq!(transcripts[0], transcripts[1], "durable rejections differ");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,6 +20,16 @@
 //! is hot): they clone the session's published
 //! `Arc<DynamicSnapshot>` and compute on it outside every lock.
 //!
+//! # One edit path
+//!
+//! Every edit, durable or not, is one [`WalOp`] taken through the same
+//! steps: [`Shard::edit`] builds the op (a push takes the engine's
+//! `next_push_id` under the edit lock), the engine's own `check_*`
+//! method vets it, the shard logs it when durable, and [`apply`] runs
+//! it and the fresh snapshot is published. A refused edit logs nothing
+//! and changes nothing, so durable and memory-only services answer the
+//! same bytes. WAL replay feeds each record to the same [`apply`].
+//!
 //! # Lock order
 //!
 //! `Shard::state` → `Session::profile` → `Session::snap`, always.
@@ -42,12 +52,11 @@
 //! restart the log is empty and every session's checkpoint is
 //! current.
 
-use crate::proto::{ErrorCode, Response, ShardStats, WirePolicy};
+use crate::proto::{ErrorCode, Request, Response, ShardStats, WirePolicy};
 use crate::wal::{self, Checkpoint, WalError, WalOp, WalRecord, WalWriter};
 use bucketrank_aggregate::dynamic::{DynamicProfile, DynamicSnapshot, VoterId};
 use bucketrank_aggregate::{AggregateError, MedianPolicy};
-use bucketrank_core::BucketOrder;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -65,6 +74,24 @@ pub(crate) fn shard_index(name: &str, shards: usize) -> usize {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h % shards as u64) as usize
+}
+
+impl From<WirePolicy> for MedianPolicy {
+    fn from(p: WirePolicy) -> Self {
+        match p {
+            WirePolicy::Lower => MedianPolicy::Lower,
+            WirePolicy::Upper => MedianPolicy::Upper,
+        }
+    }
+}
+
+impl From<MedianPolicy> for WirePolicy {
+    fn from(p: MedianPolicy) -> Self {
+        match p {
+            MedianPolicy::Lower => WirePolicy::Lower,
+            MedianPolicy::Upper => WirePolicy::Upper,
+        }
+    }
 }
 
 /// One named session: the live engine plus its published read view.
@@ -134,25 +161,41 @@ fn io_response(what: &str, e: &io::Error) -> Response {
     error(ErrorCode::BadRequest, format!("{what}: {e}"))
 }
 
-/// An edit against a named session, as the shard applies and logs it.
-pub(crate) enum Edit {
-    /// Push a voter.
-    Push {
-        /// The pushed ranking.
-        ranking: BucketOrder,
-    },
-    /// Remove a live voter.
-    Remove {
-        /// The raw voter id.
-        voter: u64,
-    },
-    /// Replace a live voter's ranking.
-    Replace {
-        /// The raw voter id.
-        voter: u64,
-        /// The replacement ranking.
-        ranking: BucketOrder,
-    },
+/// The engine's own checks for one edit op, run before it is logged.
+fn check(dp: &DynamicProfile, op: &WalOp) -> Result<(), AggregateError> {
+    match op {
+        WalOp::Push { ranking, .. } => dp.check_push(ranking),
+        WalOp::Remove { voter, .. } => dp.check_remove(VoterId::from_raw(*voter)),
+        WalOp::Replace { voter, ranking, .. } => {
+            dp.check_replace(VoterId::from_raw(*voter), ranking)
+        }
+        WalOp::Create { .. } | WalOp::Drop { .. } => Ok(()),
+    }
+}
+
+/// Applies one logged edit to a session engine, mapping success to its
+/// reply — the only place the shard changes an engine, for live edits
+/// and WAL replay alike.
+fn apply(dp: &mut DynamicProfile, op: WalOp) -> Result<Response, AggregateError> {
+    match op {
+        WalOp::Push { ranking, .. } => dp
+            .push_voter(ranking)
+            .map(|id| Response::VoterPushed { voter: id.raw() }),
+        WalOp::Remove { voter, .. } => dp
+            .remove_voter(VoterId::from_raw(voter))
+            .map(|_| Response::VoterRemoved),
+        WalOp::Replace { voter, ranking, .. } => dp
+            .replace_voter(VoterId::from_raw(voter), ranking)
+            .map(|_| Response::VoterReplaced),
+        WalOp::Create { .. } | WalOp::Drop { .. } => {
+            unreachable!("lifecycle records never reach a session engine")
+        }
+    }
+}
+
+/// Rebuilds a session engine from its checkpoint.
+fn restore(ck: Checkpoint) -> Result<DynamicProfile, AggregateError> {
+    DynamicProfile::from_voters(ck.n as usize, ck.policy.into(), ck.voters, ck.next_id)
 }
 
 /// A checkpoint file reference: its monotonic file id and the shard
@@ -165,6 +208,16 @@ struct CkptRef {
 
 fn ckpt_file(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("ckpt-{id}.bin"))
+}
+
+/// The file id of a `ckpt-<id>.bin` path.
+fn ckpt_id(path: &Path) -> Option<u64> {
+    path.file_name()?
+        .to_str()?
+        .strip_prefix("ckpt-")?
+        .strip_suffix(".bin")?
+        .parse()
+        .ok()
 }
 
 /// A session slot: in memory, or evicted to its checkpoint file.
@@ -197,6 +250,16 @@ struct ShardState {
     dur: Option<Durability>,
 }
 
+impl ShardState {
+    /// Number of resident sessions.
+    fn resident(&self) -> usize {
+        self.slots
+            .values()
+            .filter(|s| matches!(s, Slot::Resident { .. }))
+            .count()
+    }
+}
+
 /// Per-shard monotonic counters, updated with atomics so paths that do
 /// not hold the shard mutex (LRU touches) and the aggregating stats
 /// reader never contend with the edit path.
@@ -225,9 +288,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// A memory-only shard (no WAL, no checkpoints, no eviction — at
-    /// capacity, creates are refused exactly as before sharding).
-    pub(crate) fn new(cap: usize, global_cap: usize) -> Shard {
+    fn with_state(cap: usize, global_cap: usize, seq: u64, dur: Option<Durability>) -> Shard {
         Shard {
             cap,
             global_cap,
@@ -236,10 +297,16 @@ impl Shard {
             counters: ShardCounters::default(),
             state: Mutex::new(ShardState {
                 slots: HashMap::new(),
-                seq: 0,
-                dur: None,
+                seq,
+                dur,
             }),
         }
+    }
+
+    /// A memory-only shard (no WAL, no checkpoints, no eviction — at
+    /// capacity, creates are refused exactly as before sharding).
+    pub(crate) fn new(cap: usize, global_cap: usize) -> Shard {
+        Shard::with_state(cap, global_cap, 0, None)
     }
 
     /// Opens a durable shard over `dir`, recovering whatever a prior
@@ -265,14 +332,9 @@ impl Shard {
         let mut ckpts: Vec<(u64, PathBuf)> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
-            let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("");
-            if name.ends_with(".tmp") {
+            if path.to_str().is_some_and(|s| s.ends_with(".tmp")) {
                 let _ = fs::remove_file(&path);
-            } else if let Some(id) = name
-                .strip_prefix("ckpt-")
-                .and_then(|s| s.strip_suffix(".bin"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
+            } else if let Some(id) = ckpt_id(&path) {
                 ckpts.push((id, path));
             }
         }
@@ -304,29 +366,16 @@ impl Shard {
         let mut sessions: HashMap<String, Rebuilt> = HashMap::new();
         let mut seq = 0u64;
         for (name, (id, ck)) in by_name {
-            let policy = match ck.policy {
-                WirePolicy::Lower => MedianPolicy::Lower,
-                WirePolicy::Upper => MedianPolicy::Upper,
-            };
-            let Ok(dp) = DynamicProfile::from_voters(ck.n as usize, policy, ck.voters, ck.next_id)
-            else {
-                // The file framed and decoded but its contents are
-                // inconsistent (duplicate ids, id ≥ next_id): typed
-                // corruption, skipped like a CRC failure.
+            let last_seq = ck.last_seq;
+            // A file that framed and decoded but whose contents are
+            // inconsistent (duplicate ids, id ≥ next_id) is typed
+            // corruption, skipped like a CRC failure.
+            let Ok(dp) = restore(ck) else {
                 continue;
             };
-            seq = seq.max(ck.last_seq);
-            sessions.insert(
-                name,
-                Rebuilt {
-                    dp,
-                    last_seq: ck.last_seq,
-                    ckpt: Some(CkptRef {
-                        id,
-                        seq: ck.last_seq,
-                    }),
-                },
-            );
+            seq = seq.max(last_seq);
+            let ckpt = Some(CkptRef { id, seq: last_seq });
+            sessions.insert(name, Rebuilt { dp, last_seq, ckpt });
         }
 
         // Replay the WAL's valid prefix; stop — without panicking and
@@ -350,112 +399,72 @@ impl Shard {
             }
         }
         let total_records = scan.records.len();
-        let mut fault_at: Option<usize> = None;
-        let mut replay_fault: Option<WalError> = None;
-        'replay: for (idx, rec) in scan.records.into_iter().enumerate() {
+        // The first record replay refuses, with its index.
+        let mut refused: Option<(usize, WalError)> = None;
+        for (idx, rec) in scan.records.into_iter().enumerate() {
             seq = seq.max(rec.seq);
-            let name = rec.op.session().to_owned();
-            match rec.op {
+            let fault = match rec.op {
                 WalOp::Create { name, n, policy } => match sessions.get(&name) {
-                    Some(r) if rec.seq <= r.last_seq => {}
-                    Some(_) => {
-                        replay_fault = Some(WalError::DuplicateCreate { seq: rec.seq, name });
-                        fault_at = Some(idx);
-                        break 'replay;
-                    }
+                    Some(r) if rec.seq <= r.last_seq => None,
+                    Some(_) => Some(WalError::DuplicateCreate { seq: rec.seq, name }),
                     None => {
-                        let policy = match policy {
-                            WirePolicy::Lower => MedianPolicy::Lower,
-                            WirePolicy::Upper => MedianPolicy::Upper,
-                        };
                         sessions.insert(
                             name,
                             Rebuilt {
-                                dp: DynamicProfile::new(n as usize, policy),
+                                dp: DynamicProfile::new(n as usize, policy.into()),
                                 last_seq: rec.seq,
                                 ckpt: None,
                             },
                         );
+                        None
                     }
                 },
                 WalOp::Drop { name } => {
-                    if let Some(r) = sessions.get(&name) {
-                        if rec.seq > r.last_seq {
-                            sessions.remove(&name);
-                        }
+                    if sessions.get(&name).is_some_and(|r| rec.seq > r.last_seq) {
+                        sessions.remove(&name);
                     }
+                    None
                 }
-                op => {
-                    let Some(r) = sessions.get_mut(&name) else {
-                        if drop_horizon.get(&name).is_some_and(|&d| rec.seq < d) {
-                            // The session these edits built was dropped
-                            // later in this same log (which is why its
-                            // checkpoint anchor is gone): every effect
-                            // is unobservable, skipping is exact.
-                            continue;
+                op => match sessions.get_mut(op.session()) {
+                    // The session these edits built was dropped later in
+                    // this same log (which is why its checkpoint anchor
+                    // is gone): every effect is unobservable, skipping
+                    // is exact.
+                    None if drop_horizon.get(op.session()).is_some_and(|&d| rec.seq < d) => None,
+                    None => Some(WalError::UnknownSession {
+                        seq: rec.seq,
+                        name: op.session().to_owned(),
+                    }),
+                    Some(r) if rec.seq <= r.last_seq => None,
+                    Some(r) => match op {
+                        // The id is checked before the push runs, so a
+                        // mismatch leaves the engine untouched.
+                        WalOp::Push { voter, .. } if voter != r.dp.next_push_id() => {
+                            Some(WalError::IdMismatch {
+                                seq: rec.seq,
+                                expected: voter,
+                                found: r.dp.next_push_id(),
+                            })
                         }
-                        replay_fault = Some(WalError::UnknownSession { seq: rec.seq, name });
-                        fault_at = Some(idx);
-                        break 'replay;
-                    };
-                    if rec.seq <= r.last_seq {
-                        continue;
-                    }
-                    let applied: Result<(), WalError> = match op {
-                        WalOp::Push { voter, ranking, .. } => {
-                            match r.dp.push_voter(ranking) {
-                                Ok(id) if id.raw() == voter => Ok(()),
-                                Ok(id) => {
-                                    // The log says this push was issued
-                                    // a different id than the engine
-                                    // reproduces: retract it so the
-                                    // surviving state is exactly the
-                                    // record's predecessors.
-                                    let _ = r.dp.remove_voter(id);
-                                    Err(WalError::IdMismatch {
-                                        seq: rec.seq,
-                                        expected: voter,
-                                        found: id.raw(),
-                                    })
-                                }
-                                Err(e) => Err(WalError::Edit {
-                                    seq: rec.seq,
-                                    error: e,
-                                }),
+                        op => match apply(&mut r.dp, op) {
+                            Ok(_) => {
+                                r.last_seq = rec.seq;
+                                None
                             }
-                        }
-                        WalOp::Remove { voter, .. } => r
-                            .dp
-                            .remove_voter(VoterId::from_raw(voter))
-                            .map(|_| ())
-                            .map_err(|e| WalError::Edit {
+                            Err(error) => Some(WalError::Edit {
                                 seq: rec.seq,
-                                error: e,
+                                error,
                             }),
-                        WalOp::Replace { voter, ranking, .. } => r
-                            .dp
-                            .replace_voter(VoterId::from_raw(voter), ranking)
-                            .map(|_| ())
-                            .map_err(|e| WalError::Edit {
-                                seq: rec.seq,
-                                error: e,
-                            }),
-                        WalOp::Create { .. } | WalOp::Drop { .. } => unreachable!("handled above"),
-                    };
-                    match applied {
-                        Ok(()) => r.last_seq = rec.seq,
-                        Err(e) => {
-                            replay_fault = Some(e);
-                            fault_at = Some(idx);
-                            break 'replay;
-                        }
-                    }
-                }
+                        },
+                    },
+                },
+            };
+            if let Some(fault) = fault {
+                refused = Some((idx, fault));
+                break;
             }
         }
-        if replay_fault.is_none() {
-            replay_fault = scan.corruption;
-        }
+        let unapplied = refused.as_ref().map_or(0, |(idx, _)| total_records - idx);
         // Surface the fault for operators without failing startup: the
         // valid prefix stands, and the compaction below resets the log.
         // A torn tail is the expected residue of a crash mid-append (the
@@ -463,8 +472,7 @@ impl Shard {
         // other fault discards a suffix that may hold acknowledged
         // records, so the whole log is preserved for post-mortem before
         // compaction truncates it.
-        if let Some(fault) = &replay_fault {
-            let unapplied = fault_at.map_or(0, |i| total_records - i);
+        if let Some(fault) = refused.map(|(_, fault)| fault).or(scan.corruption) {
             let tail_bytes = wal_len.saturating_sub(scan.valid_len);
             let benign_tear = matches!(fault, WalError::TornTail { .. }) && unapplied == 0;
             let preserved = if benign_tear {
@@ -483,24 +491,14 @@ impl Shard {
             );
         }
 
-        let shard = Shard {
-            cap,
-            global_cap,
-            tick: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            counters: ShardCounters::default(),
-            state: Mutex::new(ShardState {
-                slots: HashMap::new(),
-                seq,
-                dur: Some(Durability {
-                    dir,
-                    wal: WalWriter::open(&wal_path)?,
-                    next_file_id,
-                    checkpoint_every: checkpoint_every.max(1),
-                    since_compact: 0,
-                }),
-            }),
+        let dur = Durability {
+            dir,
+            wal: WalWriter::open(&wal_path)?,
+            next_file_id,
+            checkpoint_every: checkpoint_every.max(1),
+            since_compact: 0,
         };
+        let shard = Shard::with_state(cap, global_cap, seq, Some(dur));
         let recovered = sessions.len() as u64;
         {
             let mut st = shard.state.lock().expect("shard lock");
@@ -524,11 +522,7 @@ impl Shard {
             // Evict down to the cap, deterministically (reverse name
             // order goes to disk first); checkpoints are current, so
             // eviction here writes nothing.
-            let mut resident = st
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Resident { .. }))
-                .count();
+            let mut resident = st.resident();
             for name in names.iter().rev() {
                 if resident <= shard.cap {
                     break;
@@ -573,28 +567,16 @@ impl Shard {
 
     /// Number of resident sessions.
     pub(crate) fn resident(&self) -> usize {
-        self.state
-            .lock()
-            .expect("shard lock")
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Resident { .. }))
-            .count()
+        self.state.lock().expect("shard lock").resident()
     }
 
     /// This shard's stats row.
     pub(crate) fn stats(&self) -> ShardStats {
         let st = self.state.lock().expect("shard lock");
-        let (mut sessions, mut evicted) = (0u64, 0u64);
-        for slot in st.slots.values() {
-            match slot {
-                Slot::Resident { .. } => sessions += 1,
-                Slot::Evicted { .. } => evicted += 1,
-            }
-        }
+        let sessions = st.resident();
         ShardStats {
-            sessions,
-            evicted,
+            sessions: sessions as u64,
+            evicted: (st.slots.len() - sessions) as u64,
             wal_records: self.counters.wal_records.load(Ordering::Relaxed),
             wal_bytes: st.dur.as_ref().map_or(0, |d| d.wal.bytes()),
             checkpoints: self.counters.checkpoints.load(Ordering::Relaxed),
@@ -612,44 +594,27 @@ impl Shard {
                 format!("session {name:?} already exists"),
             );
         }
-        let resident = st
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Resident { .. }))
-            .count();
-        if resident >= self.cap {
-            if st.dur.is_some() {
-                if let Some(victim) = self.lru_victim(&st) {
-                    if let Err(e) = self.evict_one(&mut st, &victim) {
-                        return io_response("eviction checkpoint failed", &e);
-                    }
-                } else {
-                    return error(ErrorCode::BadRequest, self.capacity_message());
-                }
-            } else {
+        if st.resident() >= self.cap {
+            // Durable shards make room by evicting; memory-only ones
+            // (which have no LRU victim to write out) refuse.
+            let victim = st.dur.as_ref().and_then(|_| self.lru_victim(&st));
+            let Some(victim) = victim else {
                 return error(ErrorCode::BadRequest, self.capacity_message());
-            }
-        }
-        let mut last_seq = 0;
-        if st.dur.is_some() {
-            let rec = WalRecord {
-                seq: st.seq + 1,
-                op: WalOp::Create {
-                    name: name.to_owned(),
-                    n: n as u32,
-                    policy,
-                },
             };
-            if let Err(e) = self.append_locked(&mut st, &rec) {
-                return io_response("write-ahead log append failed", &e);
+            if let Err(e) = self.evict_one(&mut st, &victim) {
+                return io_response("eviction checkpoint failed", &e);
             }
-            last_seq = st.seq;
         }
-        let mp = match policy {
-            WirePolicy::Lower => MedianPolicy::Lower,
-            WirePolicy::Upper => MedianPolicy::Upper,
+        let op = WalOp::Create {
+            name: name.to_owned(),
+            n: n as u32,
+            policy,
         };
-        let session = Arc::new(Session::new(DynamicProfile::new(n, mp)));
+        let last_seq = match self.log(&mut st, op) {
+            Ok((_, seq)) => seq,
+            Err(resp) => return resp,
+        };
+        let session = Arc::new(Session::new(DynamicProfile::new(n, policy.into())));
         self.touch(&session);
         st.slots.insert(
             name.to_owned(),
@@ -670,155 +635,98 @@ impl Shard {
         let Some(slot) = st.slots.remove(name) else {
             return unknown_session(name);
         };
-        if st.dur.is_some() {
-            let rec = WalRecord {
-                seq: st.seq + 1,
-                op: WalOp::Drop {
-                    name: name.to_owned(),
-                },
-            };
-            if let Err(e) = self.append_locked(&mut st, &rec) {
-                // Not acknowledged: the session stays.
-                st.slots.insert(name.to_owned(), slot);
-                return io_response("write-ahead log append failed", &e);
-            }
-            let ckpt = match &slot {
-                Slot::Resident { ckpt, .. } => *ckpt,
-                Slot::Evicted { ckpt } => Some(*ckpt),
-            };
-            if let (Some(ck), Some(dur)) = (ckpt, st.dur.as_ref()) {
-                // Safe to delete eagerly: the synced Drop record above
-                // both supersedes the checkpoint (a crash before this
-                // delete replays the checkpoint, then drops it) and
-                // anchors any pre-drop edit records still in the log
-                // (replay skips edits that precede a later Drop, so
-                // losing the checkpoint cannot fault the recovery of
-                // sessions logged after this one). Deleting here — not
-                // in compaction's orphan sweep — also closes the window
-                // where a crash between WAL truncation and the sweep
-                // would resurrect the dropped session from its
-                // leftover checkpoint. Best effort regardless: a
-                // survivor is superseded by the Drop record until the
-                // sweep removes it.
-                let _ = fs::remove_file(ckpt_file(&dur.dir, ck.id));
-            }
+        let op = WalOp::Drop {
+            name: name.to_owned(),
+        };
+        if let Err(resp) = self.log(&mut st, op) {
+            // Not acknowledged: the session stays.
+            st.slots.insert(name.to_owned(), slot);
+            return resp;
+        }
+        let ckpt = match &slot {
+            Slot::Resident { ckpt, .. } => *ckpt,
+            Slot::Evicted { ckpt } => Some(*ckpt),
+        };
+        if let (Some(ck), Some(dur)) = (ckpt, st.dur.as_ref()) {
+            // Safe to delete eagerly: the synced Drop record above
+            // both supersedes the checkpoint (a crash before this
+            // delete replays the checkpoint, then drops it) and
+            // anchors any pre-drop edit records still in the log
+            // (replay skips edits that precede a later Drop, so
+            // losing the checkpoint cannot fault the recovery of
+            // sessions logged after this one). Deleting here — not
+            // in compaction's orphan sweep — also closes the window
+            // where a crash between WAL truncation and the sweep
+            // would resurrect the dropped session from its
+            // leftover checkpoint. Best effort regardless: a
+            // survivor is superseded by the Drop record until the
+            // sweep removes it.
+            let _ = fs::remove_file(ckpt_file(&dur.dir, ck.id));
         }
         self.epoch.fetch_add(1, Ordering::Release);
         self.maybe_compact(&mut st);
         Response::SessionDropped
     }
 
-    /// Applies one edit: resolve (faulting an evicted session back
-    /// in), log the record ahead of the state change, apply, publish.
-    /// Failed edits log nothing and leave every layer untouched.
-    pub(crate) fn edit(&self, name: &str, edit: Edit) -> Response {
+    /// Runs one edit request (`PushVoter`, `RemoveVoter` or
+    /// `ReplaceVoter`): resolve the session (faulting an evicted one
+    /// back in), build the op it logs, let the engine check it, log it
+    /// ahead of the state change, apply, publish. A refused edit logs
+    /// nothing and leaves every layer untouched.
+    pub(crate) fn edit(&self, req: Request) -> Response {
+        let mut op = match req {
+            Request::PushVoter { session, ranking } => WalOp::Push {
+                name: session,
+                voter: 0,
+                ranking,
+            },
+            Request::RemoveVoter { session, voter } => WalOp::Remove {
+                name: session,
+                voter,
+            },
+            Request::ReplaceVoter {
+                session,
+                voter,
+                ranking,
+            } => WalOp::Replace {
+                name: session,
+                voter,
+                ranking,
+            },
+            _ => return error(ErrorCode::BadRequest, "not an edit request"),
+        };
         let mut st = self.state.lock().expect("shard lock");
-        let session = match self.resolve_locked(&mut st, name) {
+        let session = match self.resolve_locked(&mut st, op.session()) {
             Ok(s) => s,
             Err(resp) => return resp,
         };
         self.touch(&session);
         let mut dp = session.profile.lock().expect("edit lock");
-        if st.dur.is_some() {
-            // Write-ahead order: validate exactly as the engine will,
-            // log the record, then apply. The validations mirror the
-            // engine's own checks (and their order), so the subsequent
-            // apply cannot fail and the error bytes on the reject path
-            // are identical to the memory-only service's.
-            let checked: Result<(WalOp, Response), AggregateError> = match &edit {
-                Edit::Push { ranking } => {
-                    let n = dp.len();
-                    if ranking.len() != n {
-                        Err(AggregateError::DomainMismatch {
-                            expected: n,
-                            found: ranking.len(),
-                        })
-                    } else if dp.voters() >= DynamicProfile::MAX_VOTERS {
-                        Err(AggregateError::TooManyVoters {
-                            limit: DynamicProfile::MAX_VOTERS,
-                        })
-                    } else {
-                        let voter = dp.next_push_id();
-                        Ok((
-                            WalOp::Push {
-                                name: name.to_owned(),
-                                voter,
-                                ranking: ranking.clone(),
-                            },
-                            Response::VoterPushed { voter },
-                        ))
-                    }
-                }
-                Edit::Remove { voter } => {
-                    if dp.get_voter(VoterId::from_raw(*voter)).is_none() {
-                        Err(AggregateError::UnknownVoter { id: *voter })
-                    } else {
-                        Ok((
-                            WalOp::Remove {
-                                name: name.to_owned(),
-                                voter: *voter,
-                            },
-                            Response::VoterRemoved,
-                        ))
-                    }
-                }
-                Edit::Replace { voter, ranking } => {
-                    let n = dp.len();
-                    if ranking.len() != n {
-                        Err(AggregateError::DomainMismatch {
-                            expected: n,
-                            found: ranking.len(),
-                        })
-                    } else if dp.get_voter(VoterId::from_raw(*voter)).is_none() {
-                        Err(AggregateError::UnknownVoter { id: *voter })
-                    } else {
-                        Ok((
-                            WalOp::Replace {
-                                name: name.to_owned(),
-                                voter: *voter,
-                                ranking: ranking.clone(),
-                            },
-                            Response::VoterReplaced,
-                        ))
-                    }
-                }
-            };
-            let (op, ok_resp) = match checked {
-                Ok(v) => v,
-                Err(e) => return agg_error(&e),
-            };
-            let rec = WalRecord {
-                seq: st.seq + 1,
-                op,
-            };
-            if let Err(e) = self.append_locked(&mut st, &rec) {
-                return io_response("write-ahead log append failed", &e);
-            }
-            let seq = st.seq;
-            if let Some(Slot::Resident { last_seq, .. }) = st.slots.get_mut(name) {
-                *last_seq = seq;
-            }
-            match apply_edit(&mut dp, edit) {
-                Ok(_) => {
-                    session.publish(&dp);
-                    drop(dp);
-                    self.maybe_compact(&mut st);
-                    ok_resp
-                }
-                // Unreachable by the pre-validation above; answered
-                // typed regardless (the stray record will fail replay
-                // the same way and be truncated there).
-                Err(e) => agg_error(&e),
-            }
-        } else {
-            match apply_edit(&mut dp, edit) {
-                Ok(resp) => {
-                    session.publish(&dp);
-                    resp
-                }
-                Err(e) => agg_error(&e),
-            }
+        if let WalOp::Push { voter, .. } = &mut op {
+            *voter = dp.next_push_id();
         }
+        if let Err(e) = check(&dp, &op) {
+            return agg_error(&e);
+        }
+        let (op, seq) = match self.log(&mut st, op) {
+            Ok(logged) => logged,
+            Err(resp) => return resp,
+        };
+        if let Some(Slot::Resident { last_seq, .. }) = st.slots.get_mut(op.session()) {
+            *last_seq = seq;
+        }
+        // The engine vetted the op above, so this cannot fail; answered
+        // typed regardless.
+        let reply = match apply(&mut dp, op) {
+            Ok(reply) => {
+                session.publish(&dp);
+                reply
+            }
+            Err(e) => agg_error(&e),
+        };
+        drop(dp);
+        self.maybe_compact(&mut st);
+        reply
     }
 
     /// Resolves a session for a read or pair-metric, faulting an
@@ -840,38 +748,20 @@ impl Shard {
             Some(Slot::Resident { session, .. }) => Ok(Arc::clone(session)),
             Some(Slot::Evicted { ckpt }) => {
                 let ck = *ckpt;
-                let resident = st
-                    .slots
-                    .values()
-                    .filter(|s| matches!(s, Slot::Resident { .. }))
-                    .count();
-                if resident >= self.cap {
+                if st.resident() >= self.cap {
                     if let Some(victim) = self.lru_victim(st) {
                         self.evict_one(st, &victim)
                             .map_err(|e| io_response("eviction checkpoint failed", &e))?;
                     }
                 }
                 let dur = st.dur.as_ref().expect("evicted slots require durability");
-                let path = ckpt_file(&dur.dir, ck.id);
-                let loaded = Checkpoint::read(&path)
+                let restored = match Checkpoint::read(&ckpt_file(&dur.dir, ck.id))
                     .map_err(|e| io_response("checkpoint read failed", &e))?
-                    .map_err(|e| {
-                        error(
-                            ErrorCode::BadRequest,
-                            format!("session {name:?} failed to restore: {e}"),
-                        )
-                    })?;
-                let policy = match loaded.policy {
-                    WirePolicy::Lower => MedianPolicy::Lower,
-                    WirePolicy::Upper => MedianPolicy::Upper,
+                {
+                    Ok(loaded) => restore(loaded).map_err(|e| e.to_string()),
+                    Err(e) => Err(e.to_string()),
                 };
-                let dp = DynamicProfile::from_voters(
-                    loaded.n as usize,
-                    policy,
-                    loaded.voters,
-                    loaded.next_id,
-                )
-                .map_err(|e| {
+                let dp = restored.map_err(|e| {
                     error(
                         ErrorCode::BadRequest,
                         format!("session {name:?} failed to restore: {e}"),
@@ -924,13 +814,7 @@ impl Shard {
         let (session, last_seq, old) = (Arc::clone(session), *last_seq, *ckpt);
         let fresh = match old {
             Some(ck) if ck.seq == last_seq => ck,
-            _ => {
-                let ck = self.write_checkpoint(st, name, &session, last_seq)?;
-                if let (Some(prev), Some(dur)) = (old, st.dur.as_ref()) {
-                    let _ = fs::remove_file(ckpt_file(&dur.dir, prev.id));
-                }
-                ck
-            }
+            _ => self.write_checkpoint(st, name, &session, last_seq, old)?,
         };
         st.slots
             .insert(name.to_owned(), Slot::Evicted { ckpt: fresh });
@@ -939,28 +823,26 @@ impl Shard {
         Ok(())
     }
 
-    /// Writes a fresh checkpoint file for `session` and returns its
-    /// reference. Takes the profile mutex (inner lock).
+    /// Writes a fresh checkpoint file for `session`, deletes the file
+    /// it supersedes (`old`, best effort) and returns its reference.
+    /// Takes the profile mutex (inner lock).
     fn write_checkpoint(
         &self,
         st: &mut ShardState,
         name: &str,
         session: &Session,
         last_seq: u64,
+        old: Option<CkptRef>,
     ) -> io::Result<CkptRef> {
         let dur = st.dur.as_mut().expect("checkpoint requires durability");
         let id = dur.next_file_id;
         let path = ckpt_file(&dur.dir, id);
         let bytes = {
             let dp = session.profile.lock().expect("edit lock");
-            let policy = match dp.policy() {
-                MedianPolicy::Lower => WirePolicy::Lower,
-                MedianPolicy::Upper => WirePolicy::Upper,
-            };
             Checkpoint {
                 name: name.to_owned(),
                 n: dp.len() as u32,
-                policy,
+                policy: dp.policy().into(),
                 next_id: dp.next_push_id(),
                 last_seq,
                 voters: dp
@@ -973,19 +855,32 @@ impl Shard {
         };
         wal::write_atomic(&path, &bytes)?;
         dur.next_file_id += 1;
+        if let Some(prev) = old {
+            let _ = fs::remove_file(ckpt_file(&dur.dir, prev.id));
+        }
         self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(CkptRef { id, seq: last_seq })
     }
 
-    /// Appends one record, syncing before return; bumps the counters
-    /// and the compaction countdown.
-    fn append_locked(&self, st: &mut ShardState, rec: &WalRecord) -> io::Result<()> {
-        let dur = st.dur.as_mut().expect("append requires durability");
-        dur.wal.append(rec)?;
+    /// Logs `op` as the shard's next record, synced before return, and
+    /// hands it back with its sequence number. Memory-only shards log
+    /// nothing and answer sequence number 0. A failed append is the
+    /// typed reply to send, and the edit must not be applied.
+    fn log(&self, st: &mut ShardState, op: WalOp) -> Result<(WalOp, u64), Response> {
+        let Some(dur) = st.dur.as_mut() else {
+            return Ok((op, 0));
+        };
+        let rec = WalRecord {
+            seq: st.seq + 1,
+            op,
+        };
+        if let Err(e) = dur.wal.append(&rec) {
+            return Err(io_response("write-ahead log append failed", &e));
+        }
         dur.since_compact += 1;
         st.seq = rec.seq;
         self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok((rec.op, rec.seq))
     }
 
     /// Compacts when the countdown says so. Compaction failures are
@@ -1024,10 +919,7 @@ impl Shard {
             })
             .collect();
         for (name, session, last_seq, old) in stale {
-            let fresh = self.write_checkpoint(st, &name, &session, last_seq)?;
-            if let (Some(prev), Some(dur)) = (old, st.dur.as_ref()) {
-                let _ = fs::remove_file(ckpt_file(&dur.dir, prev.id));
-            }
+            let fresh = self.write_checkpoint(st, &name, &session, last_seq, old)?;
             if let Some(Slot::Resident { ckpt, .. }) = st.slots.get_mut(&name) {
                 *ckpt = Some(fresh);
             }
@@ -1039,7 +931,7 @@ impl Shard {
         dur.wal.truncate_to(0)?;
         dur.since_compact = 0;
         // Orphan sweep: files superseded by crashes or failed deletes.
-        let referenced: std::collections::HashSet<u64> = st
+        let referenced: HashSet<u64> = st
             .slots
             .values()
             .filter_map(|slot| match slot {
@@ -1049,35 +941,12 @@ impl Shard {
             .collect();
         let dur = st.dur.as_ref().expect("checked above");
         if let Ok(entries) = fs::read_dir(&dur.dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("");
-                if let Some(id) = name
-                    .strip_prefix("ckpt-")
-                    .and_then(|s| s.strip_suffix(".bin"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    if !referenced.contains(&id) {
-                        let _ = fs::remove_file(&path);
-                    }
+            for path in entries.flatten().map(|e| e.path()) {
+                if ckpt_id(&path).is_some_and(|id| !referenced.contains(&id)) {
+                    let _ = fs::remove_file(&path);
                 }
             }
         }
         Ok(())
-    }
-}
-
-/// Runs one edit against the engine, mapping success to its reply.
-fn apply_edit(dp: &mut DynamicProfile, edit: Edit) -> Result<Response, AggregateError> {
-    match edit {
-        Edit::Push { ranking } => dp
-            .push_voter(ranking)
-            .map(|id| Response::VoterPushed { voter: id.raw() }),
-        Edit::Remove { voter } => dp
-            .remove_voter(VoterId::from_raw(voter))
-            .map(|_| Response::VoterRemoved),
-        Edit::Replace { voter, ranking } => dp
-            .replace_voter(VoterId::from_raw(voter), ranking)
-            .map(|_| Response::VoterReplaced),
     }
 }

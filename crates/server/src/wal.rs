@@ -476,11 +476,23 @@ pub fn scan_file(path: &Path) -> io::Result<WalScan> {
 /// An append handle on one shard's WAL file. Every append flushes to
 /// the OS and syncs file data before returning, so a record that was
 /// acknowledged is on disk — the recovery invariant's write half.
+///
+/// A failed append leaves no bytes behind: the file is truncated back
+/// to its last acknowledged record, so the next record lands on a
+/// record boundary. Should that rollback fail too, the writer refuses
+/// every later append (until a successful [`truncate_to`]
+/// re-establishes the file length) rather than log acknowledged
+/// records after bytes recovery would stop at.
+///
+/// [`truncate_to`]: WalWriter::truncate_to
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
     bytes: u64,
+    /// Set when a failed append could not be rolled back: the file may
+    /// end in stray bytes past `bytes`.
+    unsound: bool,
 }
 
 impl WalWriter {
@@ -498,18 +510,33 @@ impl WalWriter {
             file,
             path: path.to_path_buf(),
             bytes,
+            unsound: false,
         })
     }
 
     /// Appends one record and syncs it to disk; returns the framed
-    /// size in bytes.
+    /// size in bytes. On failure the partial record is truncated away
+    /// (see the [type docs](WalWriter)).
     ///
     /// # Errors
     /// Any I/O failure (the caller must fail the edit, not ack it).
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<u64> {
+        if self.unsound {
+            return Err(io::Error::other(
+                "write-ahead log ends in bytes a failed append could not roll back",
+            ));
+        }
         let bytes = rec.encode();
-        self.file.write_all(&bytes)?;
-        self.file.sync_data()?;
+        if let Err(e) = self
+            .file
+            .write_all(&bytes)
+            .and_then(|()| self.file.sync_data())
+        {
+            if self.truncate_to(self.bytes).is_err() {
+                self.unsound = true;
+            }
+            return Err(e);
+        }
         self.bytes += bytes.len() as u64;
         Ok(bytes.len() as u64)
     }
@@ -528,6 +555,7 @@ impl WalWriter {
         self.file.set_len(len)?;
         self.file.sync_data()?;
         self.bytes = len;
+        self.unsound = false;
         Ok(())
     }
 

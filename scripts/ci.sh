@@ -4,8 +4,9 @@
 # The workspace has a zero-external-dependency policy (DESIGN.md §6):
 # everything must build and test with --offline, and no manifest may
 # declare a dependency that is not a `path` dependency on a sibling
-# crate. Clippy runs as a best-effort final step (it needs the clippy
-# component; the gate does not fail on its absence).
+# crate. Clippy runs as the final step with `-D warnings`: any lint
+# fails the gate, but a toolchain without the clippy component skips
+# it.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -189,10 +190,9 @@ echo "==> perfbench self-tests (BENCHMARK.json contract + mirror-checked pass of
 # mirror.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy (best effort)"
+echo "==> cargo clippy -D warnings (fatal when clippy is installed)"
 if cargo clippy --version >/dev/null 2>&1; then
-  cargo clippy --workspace --all-targets --offline -- -D warnings ||
-    echo "WARN: clippy reported issues (non-fatal in this gate)"
+  cargo clippy --workspace --all-targets --offline -- -D warnings
 else
   echo "skipped: clippy not installed"
 fi

@@ -31,6 +31,7 @@ use bucketrank::metrics::prepared::{
 };
 use bucketrank::server::proto::{ErrorCode, MetricKind, Request, Response, WirePolicy};
 use bucketrank::server::service::{Service, ServiceConfig};
+use bucketrank::server::wal::{WalOp, WalRecord, WalWriter};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::BucketOrder;
 use bucketrank_testkit::gen::EditOp;
@@ -678,6 +679,178 @@ fn corrupt_wal_suffix_is_preserved_for_post_mortem() {
         preserved_logs(&shard_dir).is_empty(),
         "a plain torn tail must not be preserved"
     );
+}
+
+/// CRC-valid records that replay must refuse: a log whose k-th record
+/// is a push with the wrong id, a remove of an unknown voter, a
+/// wrong-length replace, a second create of a live session, or an edit
+/// of a session nothing anchors (and no later drop excuses), followed
+/// by one valid record. Recovery must serve exactly the records before
+/// the fault — neither the refused record nor the valid one after it
+/// may reach the state — and preserve the log for post-mortem.
+#[test]
+fn refused_wal_records_truncate_recovery_at_the_fault() {
+    let (name, n) = ("refused", 3usize);
+    let keys = |k: &[i64]| BucketOrder::from_keys(k);
+    let rankings = [
+        keys(&[1, 2, 3]),
+        keys(&[3, 1, 2]),
+        keys(&[2, 2, 1]),
+        keys(&[1, 1, 2]),
+    ];
+    let push = |session: &str, voter: u64| WalOp::Push {
+        name: session.to_owned(),
+        voter,
+        ranking: rankings[voter as usize % rankings.len()].clone(),
+    };
+    let create = WalOp::Create {
+        name: name.to_owned(),
+        n: n as u32,
+        policy: WirePolicy::Lower,
+    };
+    for k in 1..=3usize {
+        // Records 0..k are the create and k-1 pushes, all acknowledged;
+        // `next` is the id the next push must carry.
+        let next = (k - 1) as u64;
+        let mut acked = vec![Request::CreateSession {
+            name: name.to_owned(),
+            n: n as u32,
+            policy: WirePolicy::Lower,
+        }];
+        acked.extend((0..next).map(|voter| Request::PushVoter {
+            session: name.to_owned(),
+            ranking: rankings[voter as usize].clone(),
+        }));
+        let refused = [
+            ("push id mismatch", push(name, next + 5)),
+            (
+                "remove of an unknown voter",
+                WalOp::Remove {
+                    name: name.to_owned(),
+                    voter: 99,
+                },
+            ),
+            (
+                "wrong-length replace",
+                WalOp::Replace {
+                    name: name.to_owned(),
+                    voter: 0,
+                    ranking: keys(&[1, 2]),
+                },
+            ),
+            ("duplicate create", create.clone()),
+            ("unanchored session", push("ghost", 0)),
+        ];
+        for (what, bad) in refused {
+            let tmp = TempDir::new("refused");
+            let shard_dir = tmp.0.join("shard-0");
+            std::fs::create_dir_all(&shard_dir).expect("shard dir");
+            let ops = std::iter::once(create.clone())
+                .chain((0..next).map(|voter| push(name, voter)))
+                .chain([bad, push(name, next)]);
+            let mut wal = WalWriter::open(&shard_dir.join("wal.log")).expect("open wal");
+            for (seq, op) in (1..).zip(ops) {
+                wal.append(&WalRecord { seq, op }).expect("append");
+            }
+            drop(wal);
+
+            let mirror = mirror_of_prefix(&acked, k, n);
+            assert_recovers_prefix(&tmp.0, name, n, mirror.as_ref());
+            assert_eq!(
+                preserved_logs(&shard_dir).len(),
+                1,
+                "{what} at record {k}: the refused log must be preserved"
+            );
+        }
+    }
+}
+
+/// A failed WAL append must not strand the acknowledged edits after it.
+/// A child process (this test binary, re-run under `sh` with a
+/// `ulimit -f` file-size limit and SIGXFSZ ignored, so `write` returns a
+/// short count and then `EFBIG`) pushes wide rankings into a durable
+/// service until one push fails mid-record, then removes a voter. The
+/// remove's small record fits under the limit only if the failed push
+/// left no bytes behind, and after a restart in this unlimited process
+/// the service must serve every acknowledged edit, the remove included.
+#[test]
+#[cfg(unix)]
+fn failed_append_does_not_strand_later_acknowledged_edits() {
+    const CHILD: &str = "BUCKETRANK_SHORT_WRITE_DIR";
+    const N: usize = 240;
+    let wide = |i: usize| {
+        let keys: Vec<i64> = (0..N).map(|e| ((e * (i + 1)) % 7) as i64).collect();
+        BucketOrder::from_keys(&keys)
+    };
+    let cfg = |dir: PathBuf| ServiceConfig {
+        shards: 1,
+        max_sessions: 64,
+        data_dir: Some(dir),
+        checkpoint_every: u64::MAX,
+    };
+    if let Some(dir) = std::env::var_os(CHILD) {
+        let svc = Service::with_config(cfg(dir.into())).expect("open service");
+        let create = Request::CreateSession {
+            name: "s".into(),
+            n: N as u32,
+            policy: WirePolicy::Lower,
+        };
+        assert_eq!(svc.handle(create), Response::SessionCreated);
+        let mut pushed = 0;
+        while let Response::VoterPushed { .. } = svc.handle(Request::PushVoter {
+            session: "s".into(),
+            ranking: wide(pushed),
+        }) {
+            pushed += 1;
+            assert!(pushed < 64, "the file-size limit was never hit");
+        }
+        let remove = Request::RemoveVoter {
+            session: "s".into(),
+            voter: 0,
+        };
+        assert_eq!(svc.handle(remove), Response::VoterRemoved);
+        println!("acknowledged pushes: {pushed}");
+        return;
+    }
+    let tmp = TempDir::new("short-write");
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("trap '' XFSZ; ulimit -f 8 && exec \"$0\" \"$@\"")
+        .arg(std::env::current_exe().expect("test binary"))
+        .args([
+            "--exact",
+            "failed_append_does_not_strand_later_acknowledged_edits",
+            "--nocapture",
+        ])
+        .env(CHILD, &tmp.0)
+        .output()
+        .expect("spawn child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "child failed:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let pushed: usize = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("acknowledged pushes: "))
+        .and_then(|s| s.trim().parse().ok())
+        .expect("child reports its acknowledged pushes");
+    // `ulimit -f 8` is 8 blocks of 512 or 1024 bytes, depending on the
+    // shell: at least a few wide pushes fit either way.
+    assert!(pushed >= 3, "{pushed}");
+    let mut mirror = Mirror::new(N);
+    for i in 0..pushed {
+        mirror.apply(&Request::PushVoter {
+            session: "s".into(),
+            ranking: wide(i),
+        });
+    }
+    mirror.apply(&Request::RemoveVoter {
+        session: "s".into(),
+        voter: 0,
+    });
+    assert_recovers_prefix(&tmp.0, "s", N, Some(&mirror));
 }
 
 /// The CI heavy lane's exhaustive matrix: for a handful of fixed
